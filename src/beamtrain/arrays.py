@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "beam_gain",
     "coverage_factor_rho",
     "beam_coverage",
+    "coverage_gains",
+    "coverage_mask",
     "rotate",
     "subarray_phase_objective",
     "random_awv",
@@ -46,6 +48,7 @@ class Awv:
     """
 
     weights: np.ndarray
+    active_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=np.complex128)
@@ -62,14 +65,11 @@ class Awv:
             )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "active_count", n_active)
 
     @property
     def size(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.weights))
 
     @property
     def nu(self) -> float:
@@ -183,9 +183,9 @@ def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -
 class AngleGrid:
     """Ascending discretization of the cosine-angle domain.
 
-    ``uniform(m)`` builds the canonical half-open grid -1 + 2*i/m, i = 0..m-1;
-    on that grid a shift by a whole number of steps is an exact roll, which
-    is what the coverage arithmetic relies on.
+    ``uniform(m)`` builds the canonical half-open grid -1 + 2*i/m, i = 0..m-1,
+    the only grid coverage is evaluated on: its points are the bins of a
+    length-m FFT, and a shift by a whole number of steps is an exact roll.
     """
 
     points: np.ndarray
@@ -270,49 +270,48 @@ class CoverageSet:
             out.append((float(pts[start]), float(pts[-1])))
         return out
 
-    @property
-    def covered_fraction(self) -> float:
-        return float(np.count_nonzero(self.mask)) / self.mask.size
-
     def covered_points(self) -> np.ndarray:
         return self.grid.points[self.mask]
 
-    def issuperset(self, other: "CoverageSet") -> bool:
-        self._check_same_grid(other)
-        return bool(np.all(self.mask[other.mask]))
 
-    def union_mask(self, other: "CoverageSet") -> np.ndarray:
-        self._check_same_grid(other)
-        return self.mask | other.mask
+def coverage_gains(weights, grid: AngleGrid) -> np.ndarray:
+    """Beam gains |A(w, omega_i)| on the canonical grid, one row per weight vector.
 
-    def shifted(self, psi: float) -> "CoverageSet":
-        """Coverage translated by psi (mod 2), snapped to whole grid steps."""
-        rolled = np.roll(self.mask, self.grid.roll_steps(psi))
-        return CoverageSet(grid=self.grid, mask=rolled, rho=self.rho)
+    On omega_i = -1 + 2i/M the gain is the modulus of the length-M DFT of
+    ``w * (-1)**k`` zero-padded, so one FFT evaluates every row of
+    ``weights`` (shape (rows, N) or (N,)) at once.  The grid must be
+    ``AngleGrid.uniform(M)`` and oversample the beams: a resolution of at
+    most 1/(4*N), eight points per steering beam width.
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
+    n = w.shape[-1]
+    if not np.array_equal(grid.points, default_grid(grid.size).points):
+        raise ValueError(
+            "coverage is evaluated on the canonical grid AngleGrid.uniform(M) only"
+        )
+    if grid.resolution > 0.25 / n + 1e-15:
+        raise ValueError(
+            f"grid resolution {grid.resolution:.2e} too coarse for N={n}; "
+            f"need at most {0.25 / n:.2e}"
+        )
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return np.abs(np.fft.fft(w * signs, n=grid.size, axis=-1))
 
-    def _check_same_grid(self, other: "CoverageSet") -> None:
-        if self.grid.points.shape != other.grid.points.shape or not np.array_equal(
-            self.grid.points, other.grid.points
-        ):
-            raise ValueError("coverage sets live on different grids")
+
+def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
+    """Points where each row of ``gains`` exceeds rho times that row's peak."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie strictly between 0 and 1")
+    return gains > rho * gains.max(axis=-1, keepdims=True)
 
 
 def beam_coverage(w: Awv, rho: float, grid: AngleGrid | None = None) -> CoverageSet:
     """Numerical beam coverage: points with |A(w, omega)| > rho * peak |A|.
 
-    The peak is taken over the grid, so the grid must oversample the beam
-    structure; a resolution of at most 1/(4*N) (eight points per steering
-    beam width) is enforced.
+    The peak is taken over the grid; see :func:`coverage_gains` for the
+    grid it requires.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
     if grid is None:
         grid = default_grid()
-    if grid.resolution > 0.25 / w.size + 1e-15:
-        raise ValueError(
-            f"grid resolution {grid.resolution:.2e} too coarse for N={w.size}; "
-            f"need at most {0.25 / w.size:.2e}"
-        )
-    gains = np.abs(beam_gain(w, grid.points))
-    mask = gains > rho * gains.max()
+    mask = coverage_mask(coverage_gains(w.weights, grid)[0], rho)
     return CoverageSet(grid=grid, mask=mask, rho=rho)

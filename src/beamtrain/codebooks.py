@@ -24,9 +24,9 @@ import numpy as np
 from .arrays import (
     AngleGrid,
     Awv,
-    CoverageSet,
-    beam_coverage,
     coverage_factor_rho,
+    coverage_gains,
+    coverage_mask,
     default_grid,
     leaf_angles,
     rotate,
@@ -261,12 +261,6 @@ class Criterion2Report:
         return lines
 
 
-def _layer_coverages(
-    layer: tuple[Codeword, ...], rho: float, grid: AngleGrid
-) -> list[CoverageSet]:
-    return [beam_coverage(cw.awv, rho, grid) for cw in layer]
-
-
 def validate_criterion1(
     cb: Codebook, rho: float = 0.5, grid: AngleGrid | None = None
 ) -> Criterion1Report:
@@ -275,9 +269,8 @@ def validate_criterion1(
         grid = default_grid()
     reports = []
     for layer in cb.layers:
-        union = np.zeros(grid.size, dtype=bool)
-        for cov in _layer_coverages(layer, rho, grid):
-            union |= cov.mask
+        gains = coverage_gains([cw.awv.weights for cw in layer], grid)
+        union = coverage_mask(gains, rho).any(axis=0)
         uncovered = grid.points[~union]
         reports.append(
             LayerReport(layer=layer[0].layer, passed=uncovered.size == 0, uncovered=uncovered)
@@ -305,9 +298,11 @@ def validate_criterion2(
     if grid is None:
         grid = default_grid()
     reports = []
+    parent_gains = coverage_gains([cw.awv.weights for cw in cb.layers[0]], grid)
     for k in range(cb.depth):
-        child_cov = _layer_coverages(cb.layers[k + 1], rho, grid)
-        for parent in cb.layers[k]:
+        child_gains = coverage_gains([cw.awv.weights for cw in cb.layers[k + 1]], grid)
+        child_mask = coverage_mask(child_gains, rho)
+        for parent, gains in zip(cb.layers[k], parent_gains):
             if parent_rho is not None:
                 p_rho = parent_rho
             elif parent.active_count > 1:
@@ -316,10 +311,9 @@ def validate_criterion2(
                 # A single active antenna radiates a flat pattern; its
                 # coverage is the whole domain at any threshold below one.
                 p_rho = rho
-            parent_cov = beam_coverage(parent.awv, p_rho, grid)
             lo, hi = parent.children
-            union = child_cov[lo - 1].mask | child_cov[hi - 1].mask
-            violations = grid.points[parent_cov.mask & ~union]
+            union = child_mask[lo - 1] | child_mask[hi - 1]
+            violations = grid.points[coverage_mask(gains, p_rho) & ~union]
             reports.append(
                 ParentReport(
                     layer=k,
@@ -328,6 +322,7 @@ def validate_criterion2(
                     violations=violations,
                 )
             )
+        parent_gains = child_gains
     return Criterion2Report(rho=rho, parents=tuple(reports))
 
 
@@ -372,6 +367,9 @@ def load_codebook(path) -> Codebook:
             break
         header[key] = value.strip()
         body_start += 1
+    for key in ("n", "method", "depth"):
+        if key not in header:
+            raise ValueError(f"missing header line '{key}'")
     n = int(header["n"])
     method = CodebookMethod(header["method"])
     depth = int(header["depth"])

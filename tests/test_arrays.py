@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain import (
     AngleGrid,
@@ -14,6 +16,7 @@ from beamtrain import (
     steering_vector,
     subarray_phase_objective,
 )
+from beamtrain.arrays import coverage_gains
 
 
 def brute_force_gain(weights, omega):
@@ -194,6 +197,20 @@ class TestBeamCoverage:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             beam_coverage(steering_vector(4, 0.0), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        num_points=st.sampled_from([512, 1024, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fft_gains_match_beam_gain(self, n, num_points, seed):
+        grid = AngleGrid.uniform(num_points)
+        w = random_awv(n, np.random.default_rng(seed))
+        got = coverage_gains(w.weights, grid)
+        assert got.shape == (1, num_points)
+        want = np.abs(beam_gain(w, grid.points))
+        np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12 * np.sqrt(n))
 
 
 class TestSubarrayPhaseObjective:

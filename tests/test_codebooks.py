@@ -5,6 +5,9 @@ from beamtrain import (
     AngleGrid,
     Codebook,
     Codeword,
+    beam_coverage,
+    beam_gain,
+    coverage_factor_rho,
     export_codebook,
     generate_bmw_ss,
     generate_codebook,
@@ -17,6 +20,33 @@ from beamtrain import (
 )
 
 GRID = AngleGrid.uniform(4096)
+
+
+def reference_reports(cb, gains, rho, parent_rho):
+    """Criterion 1 gaps and criterion 2 violations from per-codeword gains."""
+
+    def mask(g, r):
+        return g > r * g.max()
+
+    uncovered = []
+    for layer in gains:
+        union = np.zeros(GRID.size, dtype=bool)
+        for g in layer:
+            union |= mask(g, rho)
+        uncovered.append(GRID.points[~union])
+    violations = []
+    for k in range(cb.depth):
+        for parent, g in zip(cb.layers[k], gains[k]):
+            if parent_rho is not None:
+                p_rho = parent_rho
+            elif parent.active_count > 1:
+                p_rho = coverage_factor_rho(parent.active_count)
+            else:
+                p_rho = rho
+            lo, hi = parent.children
+            union = mask(gains[k + 1][lo - 1], rho) | mask(gains[k + 1][hi - 1], rho)
+            violations.append(GRID.points[mask(g, p_rho) & ~union])
+    return uncovered, violations
 
 
 def hand_built_bmw_first(n, layer):
@@ -167,6 +197,36 @@ class TestCriterionValidation:
         broken = Codebook(n=16, method=cb.method, layers=(cb.layers[0], tuple(layer1)) + cb.layers[2:])
         assert not validate_criterion2(broken, 0.5, GRID).passed
 
+    @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_reports_match_beam_gain_reference(self, method, n):
+        cb = generate_codebook(method, n)
+        gains = [[np.abs(beam_gain(cw.awv, GRID.points)) for cw in layer] for layer in cb.layers]
+        for rho in (0.5, 0.25):
+            for parent_rho in (None, 0.5):
+                uncovered, violations = reference_reports(cb, gains, rho, parent_rho)
+                rep1 = validate_criterion1(cb, rho, GRID)
+                rep2 = validate_criterion2(cb, rho, GRID, parent_rho=parent_rho)
+                assert len(rep1.layers) == len(uncovered)
+                for rep, want in zip(rep1.layers, uncovered):
+                    np.testing.assert_array_equal(rep.uncovered, want)
+                    assert rep.passed == (want.size == 0)
+                assert len(rep2.parents) == len(violations)
+                for rep, want in zip(rep2.parents, violations):
+                    np.testing.assert_array_equal(rep.violations, want)
+                    assert rep.passed == (want.size == 0)
+
+    def test_rejects_non_canonical_grid(self):
+        cb = generate_deact(8)
+        # Uniform, but with both endpoints: not AngleGrid.uniform(M).
+        grid = AngleGrid(np.linspace(-1.0, 1.0, 4096))
+        with pytest.raises(ValueError, match="canonical grid"):
+            beam_coverage(cb.leaf(1).awv, 0.5, grid)
+        with pytest.raises(ValueError, match="canonical grid"):
+            validate_criterion1(cb, 0.5, grid)
+        with pytest.raises(ValueError, match="canonical grid"):
+            validate_criterion2(cb, 0.5, grid)
+
     @pytest.mark.parametrize("n", [8, 64])
     def test_bmw_ss_validates_at_native_threshold(self, n):
         # Sub-array beams cross over near 0.3-0.4 of their peak, below the
@@ -231,4 +291,13 @@ class TestExport:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("key", ["n", "method", "depth"])
+    def test_missing_header_line_names_key(self, tmp_path, key):
+        path = tmp_path / "cb.txt"
+        export_codebook(generate_deact(4), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{key} ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"missing header line '{key}'"):
             load_codebook(path)
