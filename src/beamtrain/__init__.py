@@ -3,7 +3,6 @@
 from .arrays import (
     AngleGrid,
     Awv,
-    CoverageSet,
     beam_coverage,
     beam_gain,
     coverage_factor_rho,
@@ -11,7 +10,6 @@ from .arrays import (
     leaf_angles,
     random_awv,
     rotate,
-    steering_matrix,
     steering_vector,
     subarray_phase_objective,
 )
@@ -21,17 +19,13 @@ from .channels import (
     ChannelParams,
     Mpc,
     assemble_matrix,
-    best_pair_gain,
     dump_channel,
     load_channel,
     sample_channel,
 )
 from .codebooks import (
     Codebook,
-    CodebookMethod,
     Codeword,
-    Criterion1Report,
-    Criterion2Report,
     export_codebook,
     generate_bmw_ss,
     generate_codebook,
@@ -42,19 +36,14 @@ from .codebooks import (
 )
 from .experiments import (
     ExperimentConfig,
-    ExperimentResult,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
 )
 from .search import (
     AdjudicationPolicy,
-    Measurement,
     PowerMode,
     PowerModel,
-    SearchOutcome,
-    SearchStep,
-    SearchTrace,
     adjudicate,
     exhaustive_search,
     hierarchical_search,

@@ -17,6 +17,7 @@ __all__ = [
     "Awv",
     "AngleGrid",
     "CoverageSet",
+    "steering_weights",
     "steering_vector",
     "steering_matrix",
     "leaf_angles",
@@ -76,20 +77,20 @@ class Awv:
         """Common amplitude of the active entries."""
         return 1.0 / math.sqrt(self.active_count)
 
-    def __len__(self) -> int:
-        return self.size
+
+def steering_weights(n: int, angles) -> np.ndarray:
+    """Steering weights ``exp(j*pi*k*angle)/sqrt(n)``, k = 0..n-1: shape (n,)
+    for a scalar angle, one column per angle for a vector of angles."""
+    if n < 1:
+        raise ValueError("array size must be a positive integer")
+    ang = np.asarray(angles, dtype=np.float64)
+    k = np.arange(n).reshape((n,) + (1,) * ang.ndim)
+    return np.exp(1j * np.pi * k * ang) / math.sqrt(n)
 
 
 def steering_vector(n: int, omega: float) -> Awv:
-    """Steering vector of an n-element half-wave ULA along cosine angle omega.
-
-    Entry k (0-based) is ``exp(j*pi*k*omega)/sqrt(n)``; the result has unit
-    power with all antennas active.
-    """
-    if n < 1:
-        raise ValueError("array size must be a positive integer")
-    phases = np.exp(1j * np.pi * np.arange(n) * omega)
-    return Awv(phases / math.sqrt(n))
+    """Unit-power steering vector of an n-element half-wave ULA along omega."""
+    return Awv(steering_weights(n, omega))
 
 
 def leaf_angles(n: int) -> np.ndarray:
@@ -105,8 +106,9 @@ def leaf_angles(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def steering_matrix(n: int) -> np.ndarray:
-    """Column-stacked steering vectors at ``leaf_angles(n)``; cached."""
-    mat = np.exp(1j * np.pi * np.outer(np.arange(n), leaf_angles(n))) / math.sqrt(n)
+    """Column-stacked steering vectors at ``leaf_angles(n)``, the leaves of
+    both codebooks bit for bit; cached."""
+    mat = steering_weights(n, leaf_angles(n))
     mat.setflags(write=False)
     return mat
 

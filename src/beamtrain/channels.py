@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import Awv, steering_matrix
+from .arrays import Awv, steering_weights
 
 __all__ = [
     "ChannelKind",
@@ -27,7 +27,6 @@ __all__ = [
     "Channel",
     "sample_channel",
     "assemble_matrix",
-    "best_pair_gain",
     "dump_channel",
     "load_channel",
 ]
@@ -53,7 +52,8 @@ class Mpc:
     psi: float
 
     def __post_init__(self) -> None:
-        if abs(self.omega) > 1.0 or abs(self.psi) > 1.0:
+        # Written so that NaN fails too.
+        if not (abs(self.omega) <= 1.0 and abs(self.psi) <= 1.0):
             raise ValueError("cosine angles must lie in [-1, 1]")
 
 
@@ -79,6 +79,8 @@ class ChannelParams:
             raise ValueError("array sizes must be positive")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if not math.isfinite(self.eta_db):
+            raise ValueError("eta_db must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +104,12 @@ class Channel:
         return complex(w_rx.weights.conj() @ (self.matrix @ w_tx.weights))
 
 
-def _steer(n: int, angle: float) -> np.ndarray:
-    return np.exp(1j * np.pi * np.arange(n) * angle) / math.sqrt(n)
-
-
 def assemble_matrix(n_tx: int, n_rx: int, mpcs) -> np.ndarray:
     """Rebuild the channel matrix from a path list."""
     h = np.zeros((n_rx, n_tx), dtype=np.complex128)
     for mpc in mpcs:
-        h += mpc.coeff * np.outer(_steer(n_rx, mpc.omega), _steer(n_tx, mpc.psi).conj())
+        a_rx = steering_weights(n_rx, mpc.omega)
+        h += mpc.coeff * (a_rx[:, np.newaxis] * steering_weights(n_tx, mpc.psi).conj())
     return math.sqrt(n_tx * n_rx) * h
 
 
@@ -156,16 +155,6 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator | None = None
         mpcs=mpcs,
         matrix=assemble_matrix(params.n_tx, params.n_rx, mpcs),
     )
-
-
-def best_pair_gain(channel: Channel) -> float:
-    """Largest ``|w_rx^H H w_tx|^2`` over all pairs of steering vectors drawn
-    from the 2/N-spaced last-layer angles on each side (the exhaustive-search
-    upper bound)."""
-    s_rx = steering_matrix(channel.n_rx)
-    s_tx = steering_matrix(channel.n_tx)
-    coupling = s_rx.conj().T @ channel.matrix @ s_tx
-    return float(np.max(np.abs(coupling) ** 2))
 
 
 def dump_channel(channel: Channel, path) -> None:

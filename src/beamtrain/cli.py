@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import AngleGrid
-from .channels import sample_channel
 from .codebooks import (
     export_codebook,
     generate_codebook,
@@ -29,6 +28,7 @@ from .experiments import (
     POLICY_ORDER,
     ExperimentConfig,
     ExperimentResult,
+    draw_realization,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
@@ -229,10 +229,7 @@ def _cmd_search(args) -> int:
     if len(cfg.methods) != 1:
         raise ValueError("the search demo takes exactly one --methods entry")
     pm = PowerModel.from_snr_db(cfg.power_mode, args.snr_db)
-    root = np.random.SeedSequence(entropy=(cfg.seed,))
-    channel_ss, noise_ss = root.spawn(2)
-    channel = sample_channel(cfg.channel_params(cfg.kinds[0]),
-                             np.random.default_rng(channel_ss))
+    channel, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
     cb_tx = generate_codebook(cfg.methods[0], cfg.n_tx)
     cb_rx = cb_tx if cfg.n_rx == cfg.n_tx else generate_codebook(cfg.methods[0], cfg.n_rx)
     outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, np.random.default_rng(noise_ss))
@@ -243,8 +240,9 @@ def _cmd_search(args) -> int:
     tx_best, rx_best, best_gain = exhaustive_search(channel, pm)
     print(f"found pair (tx={outcome.pair[0]}, rx={outcome.pair[1]}); "
           f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gain:.5g}")
+    best_pair = (tx_best, rx_best)
     for policy in POLICY_ORDER:
-        verdict = "success" if adjudicate(outcome, channel, policy) else "failure"
+        verdict = "success" if adjudicate(outcome, channel, policy, best_pair) else "failure"
         print(f"policy {policy.value}: {verdict}")
     if args.out is not None:
         ExperimentResult(columns=TRACE_COLUMNS, rows=trace_rows(outcome)).write_csv(args.out)

@@ -9,8 +9,9 @@ Two constructions are provided for power-of-two array sizes:
   lift the crossover dips) and, on alternating layers, by deactivating half
   of the sub-arrays.  Every codeword keeps all or half of the antennas live.
 
-Both codebooks share the same last layer of steering vectors spaced 2/N
-apart, and within one layer every codeword is a beam rotation of the first.
+Both codebooks end in the same leaf layer, the columns of
+``steering_matrix(N)`` (steering vectors spaced 2/N apart) bit for bit; within
+every other layer each codeword is a beam rotation of the first.
 """
 
 from __future__ import annotations
@@ -138,15 +139,17 @@ def generate_deact(n: int) -> Codebook:
     """Deactivation codebook: layer k steers 2^k antennas, zeros the rest.
 
     Codeword (k, n) holds the 2^k-element steering vector at
-    -1 + (2n - 1)/2^k in its leading entries, padded with zeros.
+    -1 + (2n - 1)/2^k in its leading entries, padded with zeros; the last
+    layer is the shared leaf layer.
     """
     depth = _require_power_of_two(n, minimum=1)
     layers = []
-    for k in range(depth + 1):
+    for k in range(depth):
         size = 2**k
         pad = np.zeros(n - size, dtype=np.complex128)
         first = Awv(np.concatenate([steering_vector(size, -1.0 + 1.0 / size).weights, pad]))
         layers.append(_rotated_layer(first, k))
+    layers.append(_leaf_layer(n, depth))
     return Codebook(n=n, method=CodebookMethod.DEACT, layers=tuple(layers))
 
 

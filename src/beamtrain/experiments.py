@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import AngleGrid, beam_gain, default_grid
-from .channels import ChannelKind, ChannelParams, sample_channel
+from .channels import Channel, ChannelKind, ChannelParams, sample_channel
 from .codebooks import Codebook, CodebookMethod, generate_codebook
 from .search import (
     AdjudicationPolicy,
@@ -36,6 +37,7 @@ __all__ = [
     "run_beam_patterns",
     "run_received_power",
     "run_success_rate",
+    "draw_realization",
     "POWER_COLUMNS",
     "SUCCESS_COLUMNS",
     "DEFAULT_PATTERN_CODEWORDS",
@@ -93,18 +95,22 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(CodebookMethod(m).value for m in self.methods))
         object.__setattr__(self, "power_mode", PowerMode(self.power_mode).value)
         object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
+        if self.n_tx < 2 or self.n_rx < 2:
+            raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
         if not self.methods:
             raise ValueError("need at least one codebook method")
         if self.channel not in ("los", "nlos", "both"):
             raise ValueError("channel must be los, nlos, or both")
-        if not self.snr_db or any(
-            b <= a for a, b in zip(self.snr_db, self.snr_db[1:])
-        ):
-            raise ValueError("snr_db must be non-empty and strictly ascending")
+        snr = self.snr_db
+        ascending = all(b > a for a, b in zip(snr, snr[1:]))
+        if not snr or not ascending or not all(map(math.isfinite, snr)):
+            raise ValueError("snr_db must be non-empty, finite and strictly ascending")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        for kind in self.kinds:
+            self.channel_params(kind)  # checks the path count and eta_db up front
 
     @property
     def kinds(self) -> tuple[ChannelKind, ...]:
@@ -181,11 +187,24 @@ def _run_chunked(worker, cfg: ExperimentConfig, out_arrays: tuple[np.ndarray, ..
     if cfg.jobs == 1:
         parts = [worker((cfg, start, stop)) for start, stop in spans]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # The pool starts every worker up front: no more than chunks or cores.
+        max_workers = min(cfg.jobs, len(spans), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             parts = list(pool.map(worker, [(cfg, start, stop) for start, stop in spans]))
     for (start, stop), chunk in zip(spans, parts):
         for dest, src in zip(out_arrays, chunk):
             dest[start:stop] = src
+
+
+def draw_realization(
+    cfg: ExperimentConfig, kind: ChannelKind, entropy: tuple[int, ...]
+) -> tuple[Channel, np.random.SeedSequence]:
+    """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
+    two children; the first draws the channel, the second seeds every method's
+    search noise.  Returns the channel and the noise seed."""
+    channel_ss, noise_ss = np.random.SeedSequence(entropy=entropy).spawn(2)
+    channel = sample_channel(cfg.channel_params(kind), np.random.default_rng(channel_ss))
+    return channel, noise_ss
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +222,7 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.empty((stop - start, len(kinds)))
     for i, r in enumerate(range(start, stop)):
         for ki, kind in enumerate(kinds):
-            root = np.random.SeedSequence(entropy=(cfg.seed, _KIND_ID[kind], r))
-            channel_ss, noise_ss = root.spawn(2)
-            channel = sample_channel(
-                cfg.channel_params(kind), np.random.default_rng(channel_ss)
-            )
+            channel, noise_ss = draw_realization(cfg, kind, (cfg.seed, _KIND_ID[kind], r))
             _, _, bound_gain = exhaustive_search(channel, pm)
             bounds[i, ki] = pm.power * bound_gain
             for mi, (cb_tx, cb_rx) in enumerate(pairs):
@@ -296,16 +311,13 @@ def _success_chunk(args) -> tuple[np.ndarray]:
     for i, r in enumerate(range(start, stop)):
         for si, snr_db in enumerate(cfg.snr_db):
             pm = PowerModel.from_snr_db(cfg.power_mode, snr_db)
-            root = np.random.SeedSequence(entropy=(cfg.seed, _KIND_ID[kind], si, r))
-            channel_ss, noise_ss = root.spawn(2)
-            channel = sample_channel(
-                cfg.channel_params(kind), np.random.default_rng(channel_ss)
-            )
+            channel, noise_ss = draw_realization(cfg, kind, (cfg.seed, _KIND_ID[kind], si, r))
+            best_pair = exhaustive_search(channel, pm)[:2]
             for mi, (cb_tx, cb_rx) in enumerate(pairs):
                 rng = np.random.default_rng(noise_ss)
                 outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, rng)
                 for pi, policy in enumerate(POLICY_ORDER):
-                    flags[i, si, mi, pi] = adjudicate(outcome, channel, policy)
+                    flags[i, si, mi, pi] = adjudicate(outcome, channel, policy, best_pair)
     return (flags,)
 
 

@@ -255,8 +255,8 @@ def exhaustive_search(
 
     Returns ``(tx_index, rx_index, gain)`` with 1-based indices; ties are
     broken toward the smallest (tx_index, rx_index) lexicographically.  The
-    gain follows the power model (last-layer codewords keep every transmit
-    antenna active).
+    pair does not depend on the power model; the gain follows it (last-layer
+    codewords keep every transmit antenna active).
     """
     s_rx = steering_matrix(channel.n_rx)
     s_tx = steering_matrix(channel.n_tx)
@@ -276,11 +276,15 @@ def nearest_leaf(n: int, angle: float) -> int:
 
 
 def adjudicate(
-    outcome: SearchOutcome, channel: Channel, policy: AdjudicationPolicy | str
+    outcome: SearchOutcome,
+    channel: Channel,
+    policy: AdjudicationPolicy | str,
+    exhaustive_pair: tuple[int, int],
 ) -> bool:
     """Decide whether a search outcome counts as a success.
 
-    ``match-exhaustive``: the found pair equals the exhaustive-search pair.
+    ``match-exhaustive``: the found pair equals ``exhaustive_pair``, the
+    (tx, rx) pair of :func:`exhaustive_search` on this channel.
     ``align-any-mpc``: the found pair equals the nearest-leaf pair of at
     least one path.  ``align-strongest``: same, but only the path with the
     largest coefficient magnitude qualifies.
@@ -288,8 +292,7 @@ def adjudicate(
     policy = AdjudicationPolicy(policy)
     found = outcome.pair
     if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
-        tx_idx, rx_idx, _ = exhaustive_search(channel, PowerModel.total(1.0, 0.0))
-        return found == (tx_idx, rx_idx)
+        return found == tuple(exhaustive_pair)
     mpcs = channel.mpcs
     if policy is AdjudicationPolicy.ALIGN_STRONGEST:
         mpcs = (max(mpcs, key=lambda m: abs(m.coeff)),)

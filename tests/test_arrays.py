@@ -16,7 +16,7 @@ from beamtrain import (
     steering_vector,
     subarray_phase_objective,
 )
-from beamtrain.arrays import coverage_gains
+from beamtrain.arrays import coverage_gains, steering_weights
 
 
 def brute_force_gain(weights, omega):
@@ -51,6 +51,13 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(0, 0.1)
 
+
+    def test_vector_of_angles_stacks_scalar_vectors(self):
+        angles = np.array([-0.9, -0.1, 0.3, 0.77])
+        mat = steering_weights(16, angles)
+        assert mat.shape == (16, 4)
+        for i, angle in enumerate(angles):
+            assert np.array_equal(mat[:, i], steering_vector(16, angle).weights)
 
 class TestAwv:
     def test_rejects_mixed_amplitudes(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,9 +9,10 @@ from beamtrain import (
     ChannelKind,
     ChannelParams,
     Mpc,
+    PowerModel,
     assemble_matrix,
-    best_pair_gain,
     dump_channel,
+    exhaustive_search,
     load_channel,
     sample_channel,
     steering_vector,
@@ -25,6 +28,10 @@ def literal_pair_scan(ch):
             w_r = steering_vector(ch.n_rx, -1 + (2 * (j + 1) - 1) / ch.n_rx)
             best = max(best, abs(ch.coupling(w_t, w_r)) ** 2)
     return best
+
+
+def oracle_gain(ch):
+    return exhaustive_search(ch, PowerModel.total(1.0, 0.0))[2]
 
 
 class TestSampling:
@@ -97,27 +104,50 @@ class TestMatrix:
         )
         np.testing.assert_allclose(ch.matrix, np.ones((4, 4)), atol=1e-14)
 
+    def test_single_path_is_outer_product_of_steering_vectors(self):
+        mpc = Mpc(coeff=0.3 - 0.4j, omega=0.37, psi=-0.81)
+        a_rx = steering_vector(16, mpc.omega).weights
+        a_tx = steering_vector(8, mpc.psi).weights
+        want = math.sqrt(8 * 16) * (mpc.coeff * np.outer(a_rx, a_tx.conj()))
+        assert np.array_equal(assemble_matrix(8, 16, [mpc]), want)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             Channel(n_tx=4, n_rx=4, mpcs=(), matrix=np.zeros((2, 4), dtype=complex))
 
 
 class TestBestPairGain:
+    """The exhaustive oracle's gain against a literal scan of leaf pairs."""
+
     def test_on_grid_single_path(self):
         angle = -1 + 1 / 16  # first last-layer sample point on both sides
         mpc = Mpc(coeff=1.0, omega=angle, psi=angle)
         ch = Channel(16, 16, (mpc,), assemble_matrix(16, 16, [mpc]))
-        assert best_pair_gain(ch) == pytest.approx(256.0, rel=1e-12)
+        assert oracle_gain(ch) == pytest.approx(256.0, rel=1e-12)
 
     def test_matches_literal_double_loop(self):
         params = ChannelParams(16, 16, 2)
         for seed in range(3):
             ch = sample_channel(params, np.random.default_rng(seed))
-            assert best_pair_gain(ch) == pytest.approx(literal_pair_scan(ch), rel=1e-10)
+            assert oracle_gain(ch) == pytest.approx(literal_pair_scan(ch), rel=1e-10)
 
     def test_zero_matrix(self):
         ch = Channel(8, 8, (), np.zeros((8, 8), dtype=complex))
-        assert best_pair_gain(ch) == 0.0
+        assert oracle_gain(ch) == 0.0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "omega, psi", [(math.nan, 0.0), (0.0, math.nan), (1.5, 0.0), (0.0, -1.5)]
+    )
+    def test_mpc_rejects_angles_outside_domain(self, omega, psi):
+        with pytest.raises(ValueError):
+            Mpc(1.0, omega, psi)
+
+    @pytest.mark.parametrize("eta_db", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite_eta_db(self, eta_db):
+        with pytest.raises(ValueError, match="eta_db"):
+            ChannelParams(8, 8, 3, kind=ChannelKind.LOS, eta_db=eta_db)
 
 
 class TestDumpFormat:

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from beamtrain.cli import main
 from beamtrain.codebooks import load_codebook
 
@@ -86,6 +88,22 @@ class TestMonteCarloCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,method,channel,mean_power_w,mean_power_db,stderr_db,bound_db"
         assert len(lines) == 1 + 2 * 8  # methods x steps for one channel kind
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("grid", ["--snr-grid=nan", "--snr-grid=-inf,0"])
+    def test_non_finite_snr_grid_exits_2(self, grid, capsys):
+        assert run_cli("mc-success", "--n", "8", grid, "-r", "5") == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_eta_db_exits_2(self, capsys):
+        code = run_cli("mc-power", "--n", "8", "--channel", "los", "--eta-db", "nan", "-r", "3")
+        assert code == 2
+        assert "eta_db" in capsys.readouterr().err
+
+    def test_single_antenna_exits_2(self, capsys):
+        assert run_cli("mc-power", "--n", "1", "--methods", "deact", "-r", "2") == 2
+        assert "stage" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -18,6 +18,7 @@ from beamtrain import (
     validate_criterion1,
     validate_criterion2,
 )
+from beamtrain.arrays import steering_matrix
 
 GRID = AngleGrid.uniform(4096)
 
@@ -62,6 +63,17 @@ def hand_built_bmw_first(n, layer):
         steer = np.exp(1j * np.pi * np.arange(n_sub) * (-1 + (2 * m - 1) / n_sub))
         w[(m - 1) * n_sub : m * n_sub] = phase * steer / np.sqrt(n_sub)
     return w / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+@pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
+def test_leaves_are_the_oracle_steering_columns(method, n):
+    # The exhaustive oracle scans steering_matrix(n); the search ends on the
+    # leaves.  Both must be the same vectors to the last bit.
+    cb = generate_codebook(method, n)
+    mat = steering_matrix(n)
+    for i in range(n):
+        assert np.array_equal(mat[:, i], cb.leaf(i + 1).awv.weights)
 
 
 class TestDeact:

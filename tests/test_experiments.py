@@ -5,10 +5,13 @@ import pytest
 
 from beamtrain import (
     ExperimentConfig,
+    exhaustive_search,
+    sample_channel,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
 )
+from beamtrain import experiments
 from beamtrain.experiments import POWER_COLUMNS, SUCCESS_COLUMNS
 
 
@@ -26,6 +29,23 @@ class TestConfig:
     def test_validates_channel(self):
         with pytest.raises(ValueError):
             ExperimentConfig(channel="foggy")
+
+    @pytest.mark.parametrize(
+        "grid", [(math.nan,), (-math.inf, 0.0), (0.0, math.inf), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_snr(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(snr_db=grid)
+
+    def test_rejects_non_finite_eta_db(self):
+        with pytest.raises(ValueError, match="eta_db"):
+            ExperimentConfig(channel="los", eta_db=math.nan)
+
+    @pytest.mark.parametrize("sizes", [(1, 8), (8, 1), (1, 1)])
+    def test_rejects_arrays_without_a_search_stage(self, sizes):
+        n_tx, n_rx = sizes
+        with pytest.raises(ValueError, match="stage"):
+            ExperimentConfig(n_tx=n_tx, n_rx=n_rx)
 
 
 class TestBeamPatterns:
@@ -128,6 +148,26 @@ class TestSuccessRate:
             assert 0.0 <= row[3] <= 1.0
             assert row[4] >= 0.0
 
+    def test_one_oracle_call_per_channel(self, monkeypatch):
+        calls = {"channels": 0, "oracles": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(experiments, "sample_channel", counted("channels", sample_channel))
+        monkeypatch.setattr(
+            experiments, "exhaustive_search", counted("oracles", exhaustive_search)
+        )
+        cfg = ExperimentConfig(
+            n_tx=8, n_rx=8, channel="nlos", snr_db=(0.0, 20.0), realizations=3, seed=2
+        )
+        run_success_rate(cfg)
+        assert calls == {"channels": 6, "oracles": 6}
+
     def test_rejects_both_kind(self):
         cfg = ExperimentConfig(channel="both", realizations=5)
         with pytest.raises(ValueError):
@@ -180,3 +220,35 @@ class TestDeterminism:
         run_success_rate(cfg).write_csv(p1)
         run_success_rate(cfg).write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWorkerClamp:
+    @pytest.mark.parametrize(
+        "jobs, realizations, cpus, want",
+        [(10**6, 3, 64, 3), (64, 100, 4, 4), (3, 100, 64, 3), (8, 100, None, 1)],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, realizations, cpus, want):
+        sizes = []
+
+        class InProcessPool:
+            """Stand-in for ProcessPoolExecutor: records its size, starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        base = dict(n_tx=8, n_rx=8, channel="nlos", snr_db=(10.0,),
+                    realizations=realizations, seed=3)
+        clamped = run_success_rate(ExperimentConfig(**base, jobs=jobs))
+        assert sizes == [want]
+        assert clamped.rows == run_success_rate(ExperimentConfig(**base)).rows

@@ -11,7 +11,6 @@ from beamtrain import (
     PowerModel,
     adjudicate,
     assemble_matrix,
-    best_pair_gain,
     exhaustive_search,
     generate_codebook,
     hierarchical_search,
@@ -171,10 +170,10 @@ class TestExhaustiveSearch:
             assert gain == pytest.approx(gains.max(), rel=1e-10)
             assert gains[tx - 1, rx - 1] == pytest.approx(gains.max(), rel=1e-10)
 
-    def test_gain_equals_best_pair_gain_total_power(self):
-        ch = sample_channel(ChannelParams(16, 16, 2), np.random.default_rng(11))
-        _, _, gain = exhaustive_search(ch, PowerModel.total(1.0, 0.0))
-        assert gain == pytest.approx(best_pair_gain(ch), rel=1e-12)
+    def test_pair_does_not_depend_on_power_model(self):
+        ch = sample_channel(ChannelParams(16, 8, 3), np.random.default_rng(11))
+        tx, rx, total = exhaustive_search(ch, PowerModel.total(1.0, 0.0))
+        assert exhaustive_search(ch, PowerModel.per_antenna(1.0, 0.0)) == (tx, rx, 16 * total)
 
     def test_all_ties_resolve_to_first_pair(self):
         ch = Channel(8, 8, (), np.zeros((8, 8), dtype=complex))
@@ -193,9 +192,19 @@ class TestAdjudication:
         angs = -1 + (2 * np.arange(1, 17) - 1) / 16
         ch = unit_path_channel(16, angs[4], angs[9])
         cb = generate_codebook("deact", 16)
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(1.0, 0.0), np.random.default_rng(0))
+        pm = PowerModel.total(1.0, 0.0)
+        out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng(0))
+        best = exhaustive_search(ch, pm)[:2]
         for policy in AdjudicationPolicy:
-            assert adjudicate(out, ch, policy)
+            assert adjudicate(out, ch, policy, best)
+
+    def test_match_exhaustive_compares_with_the_given_pair(self):
+        cb = generate_codebook("deact", 8)
+        ch = sample_channel(ChannelParams(8, 8, 2), np.random.default_rng(12))
+        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(13))
+        tx, rx = out.pair
+        assert adjudicate(out, ch, "match-exhaustive", (tx, rx))
+        assert not adjudicate(out, ch, "match-exhaustive", (tx % 8 + 1, rx))
 
     def test_single_path_any_equals_strongest(self):
         cb = generate_codebook("bmw-ss", 16)
@@ -204,8 +213,9 @@ class TestAdjudication:
         for seed in range(50):
             ch = sample_channel(params, np.random.default_rng((30, seed)))
             out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((31, seed)))
-            assert adjudicate(out, ch, "align-any-mpc") == adjudicate(
-                out, ch, "align-strongest"
+            best = exhaustive_search(ch, pm)[:2]
+            assert adjudicate(out, ch, "align-any-mpc", best) == adjudicate(
+                out, ch, "align-strongest", best
             )
 
     def test_dominant_path_match_equals_strongest(self):
@@ -218,8 +228,9 @@ class TestAdjudication:
         for seed in range(200):
             ch = sample_channel(params, np.random.default_rng((40, seed)))
             out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((41, seed)))
-            agree += adjudicate(out, ch, "match-exhaustive") == adjudicate(
-                out, ch, "align-strongest"
+            best = exhaustive_search(ch, pm)[:2]
+            agree += adjudicate(out, ch, "match-exhaustive", best) == adjudicate(
+                out, ch, "align-strongest", best
             )
         assert agree >= 198
 
