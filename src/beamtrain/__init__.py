@@ -1,12 +1,11 @@
 """Hierarchical beam-training codebooks and search for half-wave ULAs."""
 
 from .arrays import (
-    AngleGrid,
     Awv,
+    angle_grid,
     beam_coverage,
     beam_gain,
     coverage_factor_rho,
-    default_grid,
     leaf_angles,
     random_awv,
     rotate,

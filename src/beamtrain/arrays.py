@@ -15,8 +15,7 @@ import numpy as np
 
 __all__ = [
     "Awv",
-    "AngleGrid",
-    "CoverageSet",
+    "angle_grid",
     "steering_weights",
     "steering_vector",
     "steering_matrix",
@@ -29,14 +28,16 @@ __all__ = [
     "rotate",
     "subarray_phase_objective",
     "random_awv",
-    "default_grid",
 ]
 
 # Relative slack for the constant-amplitude check; generated vectors are exact
 # to machine precision, this only guards against malformed inputs.
 _AMPLITUDE_TOL = 1e-9
 
+# Coverage grid sizes: 4096 points oversample beams of arrays up to N=512;
+# the cap bounds what a grid (8 bytes a point, 16 per FFT bin) may allocate.
 DEFAULT_GRID_POINTS = 4096
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,123 +182,41 @@ def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -
     return Awv(w)
 
 
-@dataclass(frozen=True, eq=False)
-class AngleGrid:
-    """Ascending discretization of the cosine-angle domain.
+def _check_grid_points(grid_points: int) -> None:
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must lie between 2 and {MAX_GRID_POINTS}, got {grid_points}"
+        )
 
-    ``uniform(m)`` builds the canonical half-open grid -1 + 2*i/m, i = 0..m-1,
-    the only grid coverage is evaluated on: its points are the bins of a
-    length-m FFT, and a shift by a whole number of steps is an exact roll.
+
+def angle_grid(grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """The coverage grid -1 + 2i/M, i = 0..M-1, half-open on [-1, 1).
+
+    Its points are the bins of a length-M FFT (see :func:`coverage_gains`),
+    and a shift by s steps of 2/M maps it onto itself as ``np.roll(_, s)``.
     """
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly ascending")
-        if pts[0] < -1.0 or pts[-1] > 1.0:
-            raise ValueError("grid points must lie within [-1, 1]")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, num_points: int = DEFAULT_GRID_POINTS) -> "AngleGrid":
-        if num_points < 2:
-            raise ValueError("grid needs at least two points")
-        return cls(-1.0 + 2.0 * np.arange(num_points) / num_points)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def resolution(self) -> float:
-        """Largest spacing between adjacent grid points."""
-        return float(np.max(np.diff(self.points)))
-
-    @property
-    def is_uniform(self) -> bool:
-        steps = np.diff(self.points)
-        return bool(np.allclose(steps, steps[0], rtol=0.0, atol=1e-12))
-
-    def roll_steps(self, psi: float) -> int:
-        """Number of grid steps closest to a shift by psi (uniform grids only)."""
-        if not self.is_uniform:
-            raise ValueError("shifts are only defined on uniform grids")
-        return int(round(psi / self.resolution))
+    _check_grid_points(grid_points)
+    return -1.0 + 2.0 * np.arange(grid_points) / grid_points
 
 
-@functools.lru_cache(maxsize=8)
-def default_grid(num_points: int = DEFAULT_GRID_POINTS) -> AngleGrid:
-    """Shared uniform grid; 4096 points oversample beams of arrays up to N=1024."""
-    return AngleGrid.uniform(num_points)
-
-
-@dataclass(frozen=True, eq=False)
-class CoverageSet:
-    """Grid points where a beam's gain exceeds ``rho`` times its peak gain.
-
-    The boolean ``mask`` is aligned with ``grid.points``; ``intervals`` merges
-    adjacent covered points into closed intervals for reporting.  Wrapping
-    coverage shows up as separate intervals at both ends of the domain.
-    """
-
-    grid: AngleGrid
-    mask: np.ndarray
-    rho: float
-
-    def __post_init__(self) -> None:
-        mask = np.array(self.mask, dtype=bool)
-        if mask.shape != self.grid.points.shape:
-            raise ValueError("mask must align with the grid")
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def intervals(self) -> list[tuple[float, float]]:
-        pts = self.grid.points
-        mask = self.mask
-        out: list[tuple[float, float]] = []
-        start = None
-        for i, covered in enumerate(mask):
-            if covered and start is None:
-                start = i
-            elif not covered and start is not None:
-                out.append((float(pts[start]), float(pts[i - 1])))
-                start = None
-        if start is not None:
-            out.append((float(pts[start]), float(pts[-1])))
-        return out
-
-    def covered_points(self) -> np.ndarray:
-        return self.grid.points[self.mask]
-
-
-def coverage_gains(weights, grid: AngleGrid) -> np.ndarray:
-    """Beam gains |A(w, omega_i)| on the canonical grid, one row per weight vector.
+def coverage_gains(weights, grid_points: int) -> np.ndarray:
+    """Beam gains |A(w, omega_i)| on ``angle_grid(grid_points)``, one row per
+    weight vector.
 
     On omega_i = -1 + 2i/M the gain is the modulus of the length-M DFT of
     ``w * (-1)**k`` zero-padded, so one FFT evaluates every row of
-    ``weights`` (shape (rows, N) or (N,)) at once.  The grid must be
-    ``AngleGrid.uniform(M)`` and oversample the beams: a resolution of at
-    most 1/(4*N), eight points per steering beam width.
+    ``weights`` (shape (rows, N) or (N,)) at once.  The grid must oversample
+    the beams: M >= 8*N, eight points per steering beam width.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
     n = w.shape[-1]
-    if not np.array_equal(grid.points, default_grid(grid.size).points):
+    _check_grid_points(grid_points)
+    if grid_points < 8 * n:
         raise ValueError(
-            "coverage is evaluated on the canonical grid AngleGrid.uniform(M) only"
-        )
-    if grid.resolution > 0.25 / n + 1e-15:
-        raise ValueError(
-            f"grid resolution {grid.resolution:.2e} too coarse for N={n}; "
-            f"need at most {0.25 / n:.2e}"
+            f"{grid_points} grid points too coarse for N={n}; need at least {8 * n}"
         )
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return np.abs(np.fft.fft(w * signs, n=grid.size, axis=-1))
+    return np.abs(np.fft.fft(w * signs, n=grid_points, axis=-1))
 
 
 def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
@@ -307,13 +226,7 @@ def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
     return gains > rho * gains.max(axis=-1, keepdims=True)
 
 
-def beam_coverage(w: Awv, rho: float, grid: AngleGrid | None = None) -> CoverageSet:
-    """Numerical beam coverage: points with |A(w, omega)| > rho * peak |A|.
-
-    The peak is taken over the grid; see :func:`coverage_gains` for the
-    grid it requires.
-    """
-    if grid is None:
-        grid = default_grid()
-    mask = coverage_mask(coverage_gains(w.weights, grid)[0], rho)
-    return CoverageSet(grid=grid, mask=mask, rho=rho)
+def beam_coverage(w: Awv, rho: float, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Numerical beam coverage: the mask over ``angle_grid(grid_points)`` of
+    points with |A(w, omega)| > rho * peak |A|, the peak taken over the grid."""
+    return coverage_mask(coverage_gains(w.weights, grid_points)[0], rho)

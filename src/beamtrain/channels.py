@@ -34,6 +34,14 @@ __all__ = [
 _FORMAT_TAG = "beamtrain-channel-v1"
 
 
+def db_to_linear(x_db: float) -> float:
+    """10**(x_db/10); inf where that overflows a float (it never raises)."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 class ChannelKind(str, Enum):
     LOS = "los"
     NLOS = "nlos"
@@ -79,8 +87,10 @@ class ChannelParams:
             raise ValueError("array sizes must be positive")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if not math.isfinite(self.eta_db):
-            raise ValueError("eta_db must be finite")
+        if not 0.0 < db_to_linear(self.eta_db) < math.inf:
+            raise ValueError(
+                f"eta_db must be finite, with 10**(eta_db/10) a positive float; got {self.eta_db}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +145,7 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator | None = None
         scale = math.sqrt(1.0 / (2.0 * n_paths))
         coeff = scale * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
     else:
-        gap = 10.0 ** (params.eta_db / 10.0)
+        gap = db_to_linear(params.eta_db)
         denom = gap + n_paths - 1.0
         coeff = np.empty(n_paths, dtype=np.complex128)
         coeff[0] = math.sqrt(gap / denom)
@@ -198,6 +208,9 @@ def load_channel(path) -> Channel:
             mpcs.append(Mpc(coeff=complex(re, im), omega=omega, psi=psi))
         else:
             header[key] = value.strip()
+    for key in ("n_tx", "n_rx", "paths"):
+        if key not in header:
+            raise ValueError(f"missing header line '{key}'")
     n_tx, n_rx = int(header["n_tx"]), int(header["n_rx"])
     if len(mpcs) != int(header["paths"]):
         raise ValueError("path count does not match header")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import AngleGrid
+from .arrays import DEFAULT_GRID_POINTS
 from .codebooks import (
     export_codebook,
     generate_codebook,
@@ -34,7 +34,6 @@ from .experiments import (
     run_success_rate,
 )
 from .search import (
-    PowerModel,
     TRACE_COLUMNS,
     adjudicate,
     exhaustive_search,
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coverage threshold for the validators")
     p_cb.add_argument("--parent-rho", type=float, default=None,
                       help="override the per-beam parent threshold in the containment check")
-    p_cb.add_argument("--grid-points", type=int, default=4096)
+    p_cb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_cb.add_argument("--out", type=Path, default=None, help="export destination")
 
     p_pat = sub.add_parser("pattern", help="export beam patterns over the angle grid")
@@ -115,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="semicolon-separated layer,index pairs, e.g. '2,1;1,1;0,1'")
     p_pat.add_argument("--per-antenna", action="store_true",
                        help="scale weights to unit amplitude per active antenna")
-    p_pat.add_argument("--grid-points", type=int, default=4096)
+    p_pat.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_pat.add_argument("--out", type=Path, required=True)
 
     p_search = sub.add_parser("search", help="run one search on one sampled channel")
@@ -198,9 +197,10 @@ def _cmd_codebook(args) -> int:
         export_codebook(cb, args.out)
         print(f"wrote {args.out}")
     if args.validate:
-        grid = AngleGrid.uniform(args.grid_points)
-        rep1 = validate_criterion1(cb, rho=args.rho, grid=grid)
-        rep2 = validate_criterion2(cb, rho=args.rho, grid=grid, parent_rho=args.parent_rho)
+        rep1 = validate_criterion1(cb, rho=args.rho, grid_points=args.grid_points)
+        rep2 = validate_criterion2(
+            cb, rho=args.rho, grid_points=args.grid_points, parent_rho=args.parent_rho
+        )
         for line in rep1.summary_lines() + rep2.summary_lines():
             print(line)
         if not (rep1.passed and rep2.passed):
@@ -215,7 +215,7 @@ def _cmd_pattern(args) -> int:
         args.method,
         args.n,
         codewords=args.codewords,
-        grid=AngleGrid.uniform(args.grid_points),
+        grid_points=args.grid_points,
         per_antenna=args.per_antenna,
     )
     result.write_csv(args.out)
@@ -228,7 +228,7 @@ def _cmd_search(args) -> int:
     cfg = _mc_config(args, args.channel, (args.snr_db,))
     if len(cfg.methods) != 1:
         raise ValueError("the search demo takes exactly one --methods entry")
-    pm = PowerModel.from_snr_db(cfg.power_mode, args.snr_db)
+    pm = cfg.power_model(args.snr_db)
     channel, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
     cb_tx = generate_codebook(cfg.methods[0], cfg.n_tx)
     cb_rx = cb_tx if cfg.n_rx == cfg.n_tx else generate_codebook(cfg.methods[0], cfg.n_rx)

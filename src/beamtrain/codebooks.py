@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import (
-    AngleGrid,
+    DEFAULT_GRID_POINTS,
     Awv,
+    angle_grid,
     coverage_factor_rho,
     coverage_gains,
     coverage_mask,
-    default_grid,
     leaf_angles,
     rotate,
     steering_vector,
@@ -265,16 +265,15 @@ class Criterion2Report:
 
 
 def validate_criterion1(
-    cb: Codebook, rho: float = 0.5, grid: AngleGrid | None = None
+    cb: Codebook, rho: float = 0.5, grid_points: int = DEFAULT_GRID_POINTS
 ) -> Criterion1Report:
     """Check that each layer's codewords jointly cover every grid point."""
-    if grid is None:
-        grid = default_grid()
+    points = angle_grid(grid_points)
     reports = []
     for layer in cb.layers:
-        gains = coverage_gains([cw.awv.weights for cw in layer], grid)
+        gains = coverage_gains([cw.awv.weights for cw in layer], grid_points)
         union = coverage_mask(gains, rho).any(axis=0)
-        uncovered = grid.points[~union]
+        uncovered = points[~union]
         reports.append(
             LayerReport(layer=layer[0].layer, passed=uncovered.size == 0, uncovered=uncovered)
         )
@@ -284,7 +283,7 @@ def validate_criterion1(
 def validate_criterion2(
     cb: Codebook,
     rho: float = 0.5,
-    grid: AngleGrid | None = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
     parent_rho: float | None = None,
 ) -> Criterion2Report:
     """Check that every parent's coverage sits inside its children's union.
@@ -298,12 +297,11 @@ def validate_criterion2(
     children's; the per-beam factor is the threshold at which a steered
     beam's coverage equals its designed width.
     """
-    if grid is None:
-        grid = default_grid()
+    points = angle_grid(grid_points)
     reports = []
-    parent_gains = coverage_gains([cw.awv.weights for cw in cb.layers[0]], grid)
+    parent_gains = coverage_gains([cw.awv.weights for cw in cb.layers[0]], grid_points)
     for k in range(cb.depth):
-        child_gains = coverage_gains([cw.awv.weights for cw in cb.layers[k + 1]], grid)
+        child_gains = coverage_gains([cw.awv.weights for cw in cb.layers[k + 1]], grid_points)
         child_mask = coverage_mask(child_gains, rho)
         for parent, gains in zip(cb.layers[k], parent_gains):
             if parent_rho is not None:
@@ -316,7 +314,7 @@ def validate_criterion2(
                 p_rho = rho
             lo, hi = parent.children
             union = child_mask[lo - 1] | child_mask[hi - 1]
-            violations = grid.points[coverage_mask(gains, p_rho) & ~union]
+            violations = points[coverage_mask(gains, p_rho) & ~union]
             reports.append(
                 ParentReport(
                     layer=k,

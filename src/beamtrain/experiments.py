@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import AngleGrid, beam_gain, default_grid
+from .arrays import DEFAULT_GRID_POINTS, angle_grid, beam_gain
 from .channels import Channel, ChannelKind, ChannelParams, sample_channel
 from .codebooks import Codebook, CodebookMethod, generate_codebook
 from .search import (
@@ -111,12 +111,17 @@ class ExperimentConfig:
             raise ValueError("jobs must be positive")
         for kind in self.kinds:
             self.channel_params(kind)  # checks the path count and eta_db up front
+        for snr_db in self.snr_db:
+            self.power_model(snr_db)  # checks each noise floor is finite up front
 
     @property
     def kinds(self) -> tuple[ChannelKind, ...]:
         if self.channel == "both":
             return (ChannelKind.LOS, ChannelKind.NLOS)
         return (ChannelKind(self.channel),)
+
+    def power_model(self, snr_db: float) -> PowerModel:
+        return PowerModel.from_snr_db(self.power_mode, snr_db)
 
     def channel_params(self, kind: ChannelKind) -> ChannelParams:
         return ChannelParams(
@@ -216,7 +221,7 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     cfg, start, stop = args
     kinds = cfg.kinds
     pairs = _codebook_pairs(cfg)
-    pm = PowerModel.from_snr_db(cfg.power_mode, cfg.snr_db[0])
+    pm = cfg.power_model(cfg.snr_db[0])
     n_stages = pairs[0][0].depth + pairs[0][1].depth
     winners = np.empty((stop - start, len(kinds), len(pairs), n_stages))
     bounds = np.empty((stop - start, len(kinds)))
@@ -310,7 +315,7 @@ def _success_chunk(args) -> tuple[np.ndarray]:
     )
     for i, r in enumerate(range(start, stop)):
         for si, snr_db in enumerate(cfg.snr_db):
-            pm = PowerModel.from_snr_db(cfg.power_mode, snr_db)
+            pm = cfg.power_model(snr_db)
             channel, noise_ss = draw_realization(cfg, kind, (cfg.seed, _KIND_ID[kind], si, r))
             best_pair = exhaustive_search(channel, pm)[:2]
             for mi, (cb_tx, cb_rx) in enumerate(pairs):
@@ -379,18 +384,18 @@ def run_beam_patterns(
     method: CodebookMethod | str,
     n: int,
     codewords=DEFAULT_PATTERN_CODEWORDS,
-    grid: AngleGrid | None = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
     per_antenna: bool = False,
 ) -> ExperimentResult:
-    """Tabulate |A(w, omega)| over the grid for selected codewords.
+    """Tabulate |A(w, omega)| over ``angle_grid(grid_points)`` for selected
+    codewords.
 
     ``codewords`` is a sequence of (layer, index) pairs.  With
     ``per_antenna=True`` the weights are rescaled so every active antenna has
     unit amplitude, which compares codewords by radiated power rather than at
     unit total power.  Columns come in (linear, dB) pairs per codeword.
     """
-    if grid is None:
-        grid = default_grid()
+    omega = angle_grid(grid_points)
     cb = generate_codebook(method, n)
     columns: list[str] = ["omega"]
     profiles: list[np.ndarray] = []
@@ -402,18 +407,18 @@ def run_beam_patterns(
         weights = cw.awv.weights
         if per_antenna:
             weights = weights * math.sqrt(cw.active_count)
-        gains = np.abs(beam_gain(weights, grid.points))
+        gains = np.abs(beam_gain(weights, omega))
         label = f"a_{layer}_{index}"
         labels.append(label)
         columns.extend([label, f"{label}_db"])
         profiles.append(gains)
     rows = []
-    for gi, omega in enumerate(grid.points):
-        row: list = [float(omega)]
+    for gi, point in enumerate(omega):
+        row: list = [float(point)]
         for gains in profiles:
             lin = float(gains[gi])
             row.extend([lin, 20.0 * math.log10(max(lin, _DB_FLOOR))])
         rows.append(tuple(row))
-    stats = {"labels": labels, "gains": dict(zip(labels, profiles)), "omega": grid.points}
+    stats = {"labels": labels, "gains": dict(zip(labels, profiles)), "omega": omega}
     meta = {"method": CodebookMethod(method).value, "n": n, "per_antenna": per_antenna}
     return ExperimentResult(columns=tuple(columns), rows=rows, stats=stats, meta=meta)

@@ -14,13 +14,14 @@ stage and keeping the larger measured power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .arrays import Awv, leaf_angles, steering_matrix
-from .channels import Channel
+from .channels import Channel, db_to_linear
 from .codebooks import Codebook, Codeword
 
 __all__ = [
@@ -80,7 +81,10 @@ class PowerModel:
     ) -> "PowerModel":
         """Fix the transmit power at ``power`` watts and set the noise floor
         so that power/noise equals the requested SNR."""
-        return cls(PowerMode(mode), power, power * 10.0 ** (-snr_db / 10.0))
+        noise_power = power * db_to_linear(-snr_db)
+        if not math.isfinite(noise_power):
+            raise ValueError(f"snr_db={snr_db} puts the noise floor out of float range")
+        return cls(PowerMode(mode), power, noise_power)
 
     def tx_power(self, n_tx_active: int) -> float:
         """Radiated power for a transmit codeword with the given active count."""

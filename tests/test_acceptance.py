@@ -13,7 +13,6 @@ import numpy as np
 from conftest import ACCEPTANCE_RESULTS
 
 from beamtrain import (
-    AngleGrid,
     ChannelParams,
     ExperimentConfig,
     PowerModel,
@@ -34,7 +33,7 @@ from beamtrain import (
     validate_criterion2,
 )
 
-GRID = AngleGrid.uniform(4096)
+GRID_POINTS = 4096
 SEED = 1
 REALIZATIONS = 1000
 
@@ -64,8 +63,8 @@ def test_criterion_02_criteria_validation_rho_half():
     for n in (8, 16, 32, 64, 128):
         for gen in (generate_deact, generate_bmw_ss):
             cb = gen(n)
-            r1 = validate_criterion1(cb, rho=0.5, grid=GRID)
-            r2 = validate_criterion2(cb, rho=0.5, grid=GRID)
+            r1 = validate_criterion1(cb, rho=0.5, grid_points=GRID_POINTS)
+            r2 = validate_criterion2(cb, rho=0.5, grid_points=GRID_POINTS)
             if not (r1.passed and r2.passed):
                 worst1 = max(rep.n_uncovered for rep in r1.layers)
                 worst2 = max(rep.n_violations for rep in r2.parents)
@@ -83,9 +82,9 @@ def test_criterion_03_rotation_shifts_coverage():
     for _ in range(50):
         w = random_awv(32, rng)
         psi = rng.uniform(-2.0, 2.0)
-        base = beam_coverage(w, 0.5, GRID).mask
-        rot = beam_coverage(rotate(w, psi), 0.5, GRID).mask
-        shifted = np.roll(base, GRID.roll_steps(psi))
+        base = beam_coverage(w, 0.5, GRID_POINTS)
+        rot = beam_coverage(rotate(w, psi), 0.5, GRID_POINTS)
+        shifted = np.roll(base, round(psi * GRID_POINTS / 2))
 
         def dilate(mask):
             return mask | np.roll(mask, 1) | np.roll(mask, -1)

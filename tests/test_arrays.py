@@ -4,19 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrain import (
-    AngleGrid,
     Awv,
+    angle_grid,
     beam_coverage,
     beam_gain,
     coverage_factor_rho,
-    default_grid,
     leaf_angles,
     random_awv,
     rotate,
     steering_vector,
     subarray_phase_objective,
 )
-from beamtrain.arrays import coverage_gains, steering_weights
+from beamtrain.arrays import (
+    DEFAULT_GRID_POINTS,
+    MAX_GRID_POINTS,
+    coverage_gains,
+    steering_weights,
+)
 
 
 def brute_force_gain(weights, omega):
@@ -156,50 +160,68 @@ class TestRotate:
 
     def test_coverage_shifts_with_rotation(self):
         # Grid-snapped rotations roll the coverage mask exactly.
-        grid = default_grid()
+        m = DEFAULT_GRID_POINTS
         rng = np.random.default_rng(5)
         for _ in range(20):
             w = random_awv(16, rng)
-            steps = int(rng.integers(grid.size))
-            psi = steps * grid.resolution
-            cov = beam_coverage(w, 0.5, grid)
-            cov_rot = beam_coverage(rotate(w, psi), 0.5, grid)
-            np.testing.assert_array_equal(cov_rot.mask, np.roll(cov.mask, steps))
+            steps = int(rng.integers(m))
+            psi = steps * 2.0 / m
+            cov = beam_coverage(w, 0.5, m)
+            cov_rot = beam_coverage(rotate(w, psi), 0.5, m)
+            np.testing.assert_array_equal(cov_rot, np.roll(cov, steps))
+
+
+def covered_span(mask):
+    """(first, last) covered grid point; asserts the covered points are one run."""
+    idx = np.flatnonzero(mask)
+    assert np.all(np.diff(idx) == 1), "coverage is not one contiguous run"
+    points = angle_grid(mask.size)
+    return points[idx[0]], points[idx[-1]]
 
 
 class TestBeamCoverage:
     def test_steering_coverage_matches_beam_width(self):
-        grid = default_grid()
-        cov = beam_coverage(steering_vector(16, 0.0), coverage_factor_rho(16), grid)
-        assert len(cov.intervals) == 1
-        lo, hi = cov.intervals[0]
-        assert lo == pytest.approx(-1.0 / 16.0, abs=2 * grid.resolution)
-        assert hi == pytest.approx(1.0 / 16.0, abs=2 * grid.resolution)
+        step = 2.0 / DEFAULT_GRID_POINTS
+        cov = beam_coverage(steering_vector(16, 0.0), coverage_factor_rho(16))
+        lo, hi = covered_span(cov)
+        assert lo == pytest.approx(-1.0 / 16.0, abs=2 * step)
+        assert hi == pytest.approx(1.0 / 16.0, abs=2 * step)
 
     def test_high_threshold_collapses_to_peak(self):
-        grid = default_grid()
-        cov = beam_coverage(steering_vector(16, 0.0), 0.999, grid)
-        pts = cov.covered_points()
+        cov = beam_coverage(steering_vector(16, 0.0), 0.999)
+        pts = angle_grid()[cov]
         assert pts.size < 20
         assert np.all(np.abs(pts) < 0.01)
 
     def test_padded_steering_matches_brute_force(self):
         # 4-element steering vector padded to 64 antennas, evaluated with a
         # literal summation oracle: coverage is its 2/4-wide beam.
-        grid = default_grid()
+        step = 2.0 / DEFAULT_GRID_POINTS
         w = Awv(np.concatenate([steering_vector(4, -0.75).weights, np.zeros(60)]))
         rho = coverage_factor_rho(4)
-        gains = np.array([abs(brute_force_gain(w.weights, om)) for om in grid.points])
+        gains = np.array([abs(brute_force_gain(w.weights, om)) for om in angle_grid()])
         want_mask = gains > rho * gains.max()
-        cov = beam_coverage(w, rho, grid)
-        np.testing.assert_array_equal(cov.mask, want_mask)
-        lo, hi = cov.intervals[0]
-        assert lo == pytest.approx(-1.0, abs=2 * grid.resolution)
-        assert hi == pytest.approx(-0.5, abs=2 * grid.resolution)
+        cov = beam_coverage(w, rho)
+        np.testing.assert_array_equal(cov, want_mask)
+        lo, hi = covered_span(cov)
+        assert lo == pytest.approx(-1.0, abs=2 * step)
+        assert hi == pytest.approx(-0.5, abs=2 * step)
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError):
-            beam_coverage(steering_vector(64, 0.0), 0.5, AngleGrid.uniform(64))
+        with pytest.raises(ValueError, match="too coarse"):
+            beam_coverage(steering_vector(64, 0.0), 0.5, 64)
+        # Eight points per steering beam width is the least accepted.
+        assert beam_coverage(steering_vector(64, 0.0), 0.5, 8 * 64).shape == (512,)
+        with pytest.raises(ValueError, match="too coarse"):
+            beam_coverage(steering_vector(64, 0.0), 0.5, 8 * 64 - 1)
+
+    @pytest.mark.parametrize("grid_points", [1, MAX_GRID_POINTS + 1, 10**11])
+    def test_rejects_grid_size_before_allocating(self, grid_points):
+        w = steering_vector(4, 0.0).weights
+        with pytest.raises(ValueError, match="grid_points"):
+            coverage_gains(w, grid_points)
+        with pytest.raises(ValueError, match="grid_points"):
+            angle_grid(grid_points)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -212,11 +234,10 @@ class TestBeamCoverage:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_fft_gains_match_beam_gain(self, n, num_points, seed):
-        grid = AngleGrid.uniform(num_points)
         w = random_awv(n, np.random.default_rng(seed))
-        got = coverage_gains(w.weights, grid)
+        got = coverage_gains(w.weights, num_points)
         assert got.shape == (1, num_points)
-        want = np.abs(beam_gain(w, grid.points))
+        want = np.abs(beam_gain(w, angle_grid(num_points)))
         np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12 * np.sqrt(n))
 
 
@@ -242,27 +263,14 @@ class TestSubarrayPhaseObjective:
             assert abs(subarray_phase_objective(n_sub, best)) >= vals.max()
 
 
-class TestAngleGrid:
+class TestCoverageGrid:
     def test_uniform_grid_shape(self):
-        grid = AngleGrid.uniform(1024)
-        assert grid.size == 1024
-        assert grid.points[0] == -1.0
-        assert grid.points[-1] < 1.0
-        assert grid.is_uniform
-        assert grid.resolution == pytest.approx(2.0 / 1024)
-
-    def test_roll_steps(self):
-        grid = AngleGrid.uniform(1000)
-        assert grid.roll_steps(10 * grid.resolution) == 10
-        assert grid.roll_steps(-0.5) == -250
-
-    def test_rejects_descending_points(self):
-        with pytest.raises(ValueError):
-            AngleGrid(np.array([0.0, -0.5]))
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            AngleGrid(np.array([-1.5, 0.0]))
+        points = angle_grid(1024)
+        assert points.shape == (1024,)
+        assert points[0] == -1.0
+        assert points[-1] < 1.0
+        np.testing.assert_array_equal(np.diff(points), 2.0 / 1024)
+        assert angle_grid().size == DEFAULT_GRID_POINTS
 
     def test_leaf_angles_tile_domain(self):
         angs = leaf_angles(8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from beamtrain import (
@@ -149,21 +151,49 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="eta_db"):
             ChannelParams(8, 8, 3, kind=ChannelKind.LOS, eta_db=eta_db)
 
+    @pytest.mark.parametrize("eta_db", [4000.0, -4000.0])
+    def test_params_reject_eta_db_out_of_float_range(self, eta_db):
+        # 10**(eta_db/10) overflows (or underflows to zero, which leaves a
+        # one-path LOS channel with no power to normalize).
+        with pytest.raises(ValueError, match="eta_db"):
+            ChannelParams(8, 8, 1, kind=ChannelKind.LOS, eta_db=eta_db)
+
 
 class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        params = ChannelParams(8, 16, 3, kind=ChannelKind.LOS, eta_db=12.0)
-        ch = sample_channel(params, np.random.default_rng(9))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        kind=st.sampled_from(list(ChannelKind)),
+        n_paths=st.integers(1, 4),
+        n_tx=st.integers(1, 64),
+        n_rx=st.integers(1, 64),
+        eta_db=st.floats(-20.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, tmp_path, kind, n_paths, n_tx, n_rx, eta_db, seed):
+        params = ChannelParams(n_tx, n_rx, n_paths, kind=kind, eta_db=eta_db)
+        ch = sample_channel(params, np.random.default_rng(seed))
         path = tmp_path / "ch.txt"
         dump_channel(ch, path)
         loaded = load_channel(path)
         assert loaded.n_tx == ch.n_tx and loaded.n_rx == ch.n_rx
-        for a, b in zip(loaded.mpcs, ch.mpcs):
-            assert a == b
+        assert loaded.mpcs == ch.mpcs
         np.testing.assert_array_equal(loaded.matrix, ch.matrix)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("beamtrain-codebook-v1\n")
         with pytest.raises(ValueError):
+            load_channel(path)
+
+    @pytest.mark.parametrize("key", ["n_tx", "n_rx", "paths"])
+    def test_missing_header_line_names_key(self, tmp_path, key):
+        path = tmp_path / "ch.txt"
+        dump_channel(sample_channel(ChannelParams(4, 8, 2), np.random.default_rng(0)), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{key} ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"missing header line '{key}'"):
             load_channel(path)

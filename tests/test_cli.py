@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -104,6 +105,43 @@ class TestBadInput:
     def test_single_antenna_exits_2(self, capsys):
         assert run_cli("mc-power", "--n", "1", "--methods", "deact", "-r", "2") == 2
         assert "stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("mc-power", "--n", "8", "--channel", "los", "--eta-db", "4000", "-r", "1"), "eta_db"),
+            (("mc-success", "--n", "8", "--snr-grid=-4000", "-r", "1"), "snr_db"),
+            (("search", "--n", "8", "--methods", "deact", "--snr-db", "-4000"), "snr_db"),
+        ],
+        ids=["mc-power", "mc-success", "search"],
+    )
+    def test_out_of_range_db_exits_2(self, argv, key, capsys):
+        assert run_cli(*argv) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pattern", "--method", "deact", "--n", "8", "--grid-points", "100000000000"),
+            ("codebook", "--method", "deact", "--n", "8", "--validate",
+             "--grid-points", "100000000000"),
+        ],
+        ids=["pattern", "codebook"],
+    )
+    def test_huge_grid_exits_2_without_allocating(self, argv, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        if argv[0] == "pattern":
+            argv = argv + ("--out", str(out))
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "grid_points" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+        assert not out.exists()
 
 
 class TestConfigFile:

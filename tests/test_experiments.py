@@ -41,6 +41,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="eta_db"):
             ExperimentConfig(channel="los", eta_db=math.nan)
 
+    def test_rejects_snr_whose_noise_floor_overflows(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            ExperimentConfig(snr_db=(-4000.0, 0.0))
+
+    def test_rejects_eta_db_out_of_float_range(self):
+        with pytest.raises(ValueError, match="eta_db"):
+            ExperimentConfig(channel="los", eta_db=4000.0)
+
     @pytest.mark.parametrize("sizes", [(1, 8), (8, 1), (1, 1)])
     def test_rejects_arrays_without_a_search_stage(self, sizes):
         n_tx, n_rx = sizes

@@ -42,6 +42,11 @@ class TestPowerModel:
         assert pm.power == 1.0
         assert pm.noise_power == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("snr_db, power", [(-4000.0, 1.0), (-3000.0, 1e10)])
+    def test_from_snr_db_rejects_overflowing_noise_floor(self, snr_db, power):
+        with pytest.raises(ValueError, match="snr_db"):
+            PowerModel.from_snr_db("total", snr_db, power)
+
     def test_tx_power_scaling(self):
         tot = PowerModel.total(2.0, 1e-4)
         per = PowerModel.per_antenna(2.0, 1e-4)
