@@ -24,7 +24,6 @@ from .channels import (
 )
 from .codebooks import (
     Codebook,
-    Codeword,
     export_codebook,
     generate_bmw_ss,
     generate_codebook,

@@ -15,7 +15,9 @@ import numpy as np
 
 __all__ = [
     "Awv",
+    "active_counts",
     "angle_grid",
+    "check_grid",
     "steering_weights",
     "steering_vector",
     "steering_matrix",
@@ -34,10 +36,13 @@ __all__ = [
 # to machine precision, this only guards against malformed inputs.
 _AMPLITUDE_TOL = 1e-9
 
-# Coverage grid sizes: 4096 points oversample beams of arrays up to N=512;
-# the cap bounds what a grid (8 bytes a point, 16 per FFT bin) may allocate.
+# Coverage grid sizes: 4096 points oversample beams of arrays up to N=512.
+# A grid of M points for an N-antenna array makes M x N arrays (the pattern's
+# phase matrix, a leaf layer's FFT), so the caps bound M and M*N: 2**26 cells
+# are 1 GiB of complex128.
 DEFAULT_GRID_POINTS = 4096
 MAX_GRID_POINTS = 2**20
+MAX_GRID_CELLS = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +61,7 @@ class Awv:
         w = np.array(self.weights, dtype=np.complex128)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D sequence")
-        active = w != 0
-        n_active = int(np.count_nonzero(active))
-        if n_active == 0:
-            raise ValueError("weight vector has no active entries")
-        nu = 1.0 / math.sqrt(n_active)
-        if np.max(np.abs(np.abs(w[active]) - nu)) > _AMPLITUDE_TOL:
-            raise ValueError(
-                "active entries must share the amplitude 1/sqrt(active_count)"
-            )
+        n_active = int(active_counts(w))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "active_count", n_active)
@@ -77,6 +74,27 @@ class Awv:
     def nu(self) -> float:
         """Common amplitude of the active entries."""
         return 1.0 / math.sqrt(self.active_count)
+
+
+def active_counts(weights) -> np.ndarray:
+    """Active-entry count of each row of a (..., N) weight array.
+
+    Raises ``ValueError`` unless every row has an active (non-zero) entry and
+    every active entry has its row's amplitude ``1/sqrt(active_count)``.
+    """
+    w = np.asarray(weights)
+    active = w != 0
+    counts = np.count_nonzero(active, axis=-1)
+    if np.any(counts == 0):
+        raise ValueError("weight vector has no active entries")
+    nu = 1.0 / np.sqrt(counts)
+    deviation = np.abs(np.abs(w) - nu[..., np.newaxis])
+    # Written so that NaN fails too.
+    if not np.all(deviation[active] <= _AMPLITUDE_TOL):
+        raise ValueError(
+            "active entries must share the amplitude 1/sqrt(active_count)"
+        )
+    return counts
 
 
 def steering_weights(n: int, angles) -> np.ndarray:
@@ -182,10 +200,18 @@ def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -
     return Awv(w)
 
 
-def _check_grid_points(grid_points: int) -> None:
+def check_grid(grid_points: int, n: int = 1) -> None:
+    """Reject a grid of ``grid_points`` for an n-antenna array, before any
+    grid-sized array exists, unless 2 <= M <= MAX_GRID_POINTS and
+    M*n <= MAX_GRID_CELLS."""
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points must lie between 2 and {MAX_GRID_POINTS}, got {grid_points}"
+        )
+    if grid_points * n > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid_points={grid_points} for N={n} makes {grid_points * n} cells; "
+            f"M*N must be at most {MAX_GRID_CELLS}"
         )
 
 
@@ -195,7 +221,7 @@ def angle_grid(grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     Its points are the bins of a length-M FFT (see :func:`coverage_gains`),
     and a shift by s steps of 2/M maps it onto itself as ``np.roll(_, s)``.
     """
-    _check_grid_points(grid_points)
+    check_grid(grid_points)
     return -1.0 + 2.0 * np.arange(grid_points) / grid_points
 
 
@@ -206,11 +232,12 @@ def coverage_gains(weights, grid_points: int) -> np.ndarray:
     On omega_i = -1 + 2i/M the gain is the modulus of the length-M DFT of
     ``w * (-1)**k`` zero-padded, so one FFT evaluates every row of
     ``weights`` (shape (rows, N) or (N,)) at once.  The grid must oversample
-    the beams: M >= 8*N, eight points per steering beam width.
+    the beams, M >= 8*N (eight points per steering beam width), and pass
+    :func:`check_grid` for N.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
     n = w.shape[-1]
-    _check_grid_points(grid_points)
+    check_grid(grid_points, n)
     if grid_points < 8 * n:
         raise ValueError(
             f"{grid_points} grid points too coarse for N={n}; need at least {8 * n}"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import Awv, steering_weights
+from .arrays import steering_weights
 
 __all__ = [
     "ChannelKind",
@@ -109,9 +109,9 @@ class Channel:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def coupling(self, w_tx: Awv, w_rx: Awv) -> complex:
-        """Beamformed channel coefficient ``w_rx^H H w_tx``."""
-        return complex(w_rx.weights.conj() @ (self.matrix @ w_tx.weights))
+    def coupling(self, w_tx: np.ndarray, w_rx: np.ndarray) -> complex:
+        """Beamformed channel coefficient ``w_rx^H H w_tx`` of 1-D weight arrays."""
+        return complex(w_rx.conj() @ (self.matrix @ w_tx))
 
 
 def assemble_matrix(n_tx: int, n_rx: int, mpcs) -> np.ndarray:

@@ -167,7 +167,8 @@ def _inject_config(argv: list[str]) -> list[str]:
         if value.lower() in ("true", "yes", "on") and key in ("validate", "per_antenna", "per-antenna"):
             tokens.append(flag)
         else:
-            tokens.extend([flag, value])
+            # One token, so that a value such as "-10,0,10" is not read as a flag.
+            tokens.append(f"{flag}={value}")
     return [argv[0], *tokens, *argv[1:]]
 
 

@@ -24,19 +24,17 @@ import numpy as np
 
 from .arrays import (
     DEFAULT_GRID_POINTS,
-    Awv,
+    active_counts,
     angle_grid,
     coverage_factor_rho,
     coverage_gains,
     coverage_mask,
-    leaf_angles,
-    rotate,
-    steering_vector,
+    steering_matrix,
+    steering_weights,
 )
 
 __all__ = [
     "CodebookMethod",
-    "Codeword",
     "Codebook",
     "generate_codebook",
     "generate_deact",
@@ -57,60 +55,6 @@ class CodebookMethod(str, Enum):
     BMW_SS = "bmw-ss"
 
 
-@dataclass(frozen=True, eq=False)
-class Codeword:
-    """One codebook entry: the weight vector at position (layer, index).
-
-    ``index`` is 1-based within the layer, matching the binary-tree layout
-    where codeword (k, n) has children (k+1, 2n-1) and (k+1, 2n).
-    """
-
-    awv: Awv
-    layer: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.layer < 0 or not 1 <= self.index <= 2**self.layer:
-            raise ValueError("codeword position outside the binary tree")
-
-    @property
-    def active_count(self) -> int:
-        return self.awv.active_count
-
-    @property
-    def children(self) -> tuple[int, int]:
-        return (2 * self.index - 1, 2 * self.index)
-
-
-@dataclass(frozen=True, eq=False)
-class Codebook:
-    """Layered binary tree of codewords for an N-antenna array (N a power of 2).
-
-    ``layers[k]`` holds the 2^k codewords of layer k, k = 0..log2(N); the last
-    layer consists of the steering vectors at ``leaf_angles(N)``.
-    """
-
-    n: int
-    method: CodebookMethod
-    layers: tuple[tuple[Codeword, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        """Index of the last layer, log2(N)."""
-        return len(self.layers) - 1
-
-    def codeword(self, layer: int, index: int) -> Codeword:
-        """Codeword (layer, index) with a 1-based index."""
-        return self.layers[layer][index - 1]
-
-    def leaf(self, index: int) -> Codeword:
-        return self.codeword(self.depth, index)
-
-    def __iter__(self):
-        for layer in self.layers:
-            yield from layer
-
-
 def _require_power_of_two(n: int, minimum: int) -> int:
     if n < minimum or n & (n - 1):
         raise ValueError(
@@ -119,37 +63,69 @@ def _require_power_of_two(n: int, minimum: int) -> int:
     return n.bit_length() - 1
 
 
-def _leaf_layer(n: int, depth: int) -> tuple[Codeword, ...]:
-    return tuple(
-        Codeword(awv=steering_vector(n, ang), layer=depth, index=i + 1)
-        for i, ang in enumerate(leaf_angles(n))
-    )
+@dataclass(frozen=True, eq=False)
+class Codebook:
+    """Binary tree of codewords for an N-antenna array, N a power of two.
+
+    ``layers[k]``, k = 0..log2(N), is a read-only C-contiguous (2^k, N)
+    complex array whose row i is codeword i of layer k; its children are rows
+    2i and 2i+1 of layer k+1.  The last layer holds the steering vectors at
+    ``leaf_angles(N)``.  ``active_counts[k]`` holds each row's number of
+    active antennas.  Files, traces and reports number codewords from 1.
+    """
+
+    n: int
+    method: CodebookMethod
+    layers: tuple[np.ndarray, ...]
+    active_counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "method", CodebookMethod(self.method))
+        depth = _require_power_of_two(self.n, minimum=1)
+        if len(self.layers) != depth + 1:
+            raise ValueError(
+                f"a codebook for N={self.n} has {depth + 1} layers, got {len(self.layers)}"
+            )
+        layers = []
+        for k, layer in enumerate(self.layers):
+            arr = np.array(layer, dtype=np.complex128, order="C")
+            if arr.shape != (2**k, self.n):
+                raise ValueError(f"layer {k} has shape {arr.shape}, expected {(2**k, self.n)}")
+            arr.setflags(write=False)
+            layers.append(arr)
+        counts = tuple(active_counts(arr) for arr in layers)
+        for c in counts:
+            c.setflags(write=False)
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "active_counts", counts)
+
+    @property
+    def depth(self) -> int:
+        """Index of the last layer, log2(N)."""
+        return len(self.layers) - 1
 
 
-def _rotated_layer(first: Awv, layer: int) -> tuple[Codeword, ...]:
-    """Fill a layer from its first codeword by rotating in steps of 2/2^k."""
-    row = [Codeword(awv=first, layer=layer, index=1)]
-    for idx in range(2, 2**layer + 1):
-        psi = (2.0 * idx - 2.0) / 2**layer
-        row.append(Codeword(awv=rotate(first, psi), layer=layer, index=idx))
-    return tuple(row)
+def _rotated_layer(first: np.ndarray, k: int) -> np.ndarray:
+    """Layer k from its first codeword: row i is ``rotate`` by psi = 2i/2^k."""
+    psi = 2.0 * np.arange(2**k) / 2**k
+    return first * np.exp(1j * np.pi * np.arange(first.size) * psi[:, np.newaxis])
 
 
 def generate_deact(n: int) -> Codebook:
     """Deactivation codebook: layer k steers 2^k antennas, zeros the rest.
 
-    Codeword (k, n) holds the 2^k-element steering vector at
-    -1 + (2n - 1)/2^k in its leading entries, padded with zeros; the last
+    Row i of layer k holds the 2^k-element steering vector at
+    -1 + (2i + 1)/2^k in its leading entries, padded with zeros; the last
     layer is the shared leaf layer.
     """
     depth = _require_power_of_two(n, minimum=1)
     layers = []
     for k in range(depth):
         size = 2**k
-        pad = np.zeros(n - size, dtype=np.complex128)
-        first = Awv(np.concatenate([steering_vector(size, -1.0 + 1.0 / size).weights, pad]))
+        first = np.zeros(n, dtype=np.complex128)
+        first[:size] = steering_weights(size, -1.0 + 1.0 / size)
         layers.append(_rotated_layer(first, k))
-    layers.append(_leaf_layer(n, depth))
+    layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=CodebookMethod.DEACT, layers=tuple(layers))
 
 
@@ -164,20 +140,20 @@ def generate_bmw_ss(n: int) -> Codebook:
     beam rotations of the first.  Active antenna counts are N or N/2.
     """
     depth = _require_power_of_two(n, minimum=2)
-    layers: list[tuple[Codeword, ...] | None] = [None] * (depth + 1)
-    layers[depth] = _leaf_layer(n, depth)
-    for ell in range(1, depth + 1):
-        k = depth - ell
+    layers = []
+    for k in range(depth):
+        ell = depth - k
         m_sub = 2 ** ((ell + 1) // 2)
         n_sub = n // m_sub
         n_active_sub = m_sub if ell % 2 == 0 else m_sub // 2
         first = np.zeros(n, dtype=np.complex128)
         for m in range(1, n_active_sub + 1):
             theta_m = -m * np.pi * (n_sub - 1) / n_sub
-            sub = steering_vector(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub).weights
+            sub = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)
             first[(m - 1) * n_sub : m * n_sub] = np.exp(1j * theta_m) * sub
         first /= np.linalg.norm(first)
-        layers[k] = _rotated_layer(Awv(first), k)
+        layers.append(_rotated_layer(first, k))
+    layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=CodebookMethod.BMW_SS, layers=tuple(layers))
 
 
@@ -268,15 +244,14 @@ def validate_criterion1(
     cb: Codebook, rho: float = 0.5, grid_points: int = DEFAULT_GRID_POINTS
 ) -> Criterion1Report:
     """Check that each layer's codewords jointly cover every grid point."""
+    unions = [
+        coverage_mask(coverage_gains(layer, grid_points), rho).any(axis=0) for layer in cb.layers
+    ]
     points = angle_grid(grid_points)
     reports = []
-    for layer in cb.layers:
-        gains = coverage_gains([cw.awv.weights for cw in layer], grid_points)
-        union = coverage_mask(gains, rho).any(axis=0)
+    for k, union in enumerate(unions):
         uncovered = points[~union]
-        reports.append(
-            LayerReport(layer=layer[0].layer, passed=uncovered.size == 0, uncovered=uncovered)
-        )
+        reports.append(LayerReport(layer=k, passed=uncovered.size == 0, uncovered=uncovered))
     return Criterion1Report(rho=rho, layers=tuple(reports))
 
 
@@ -297,30 +272,26 @@ def validate_criterion2(
     children's; the per-beam factor is the threshold at which a steered
     beam's coverage equals its designed width.
     """
+    parent_gains = coverage_gains(cb.layers[0], grid_points)
     points = angle_grid(grid_points)
     reports = []
-    parent_gains = coverage_gains([cw.awv.weights for cw in cb.layers[0]], grid_points)
     for k in range(cb.depth):
-        child_gains = coverage_gains([cw.awv.weights for cw in cb.layers[k + 1]], grid_points)
+        child_gains = coverage_gains(cb.layers[k + 1], grid_points)
         child_mask = coverage_mask(child_gains, rho)
-        for parent, gains in zip(cb.layers[k], parent_gains):
+        for i, (active, gains) in enumerate(zip(cb.active_counts[k], parent_gains)):
             if parent_rho is not None:
                 p_rho = parent_rho
-            elif parent.active_count > 1:
-                p_rho = coverage_factor_rho(parent.active_count)
+            elif active > 1:
+                p_rho = coverage_factor_rho(int(active))
             else:
                 # A single active antenna radiates a flat pattern; its
                 # coverage is the whole domain at any threshold below one.
                 p_rho = rho
-            lo, hi = parent.children
-            union = child_mask[lo - 1] | child_mask[hi - 1]
+            union = child_mask[2 * i] | child_mask[2 * i + 1]
             violations = points[coverage_mask(gains, p_rho) & ~union]
             reports.append(
                 ParentReport(
-                    layer=k,
-                    index=parent.index,
-                    passed=violations.size == 0,
-                    violations=violations,
+                    layer=k, index=i + 1, passed=violations.size == 0, violations=violations
                 )
             )
         parent_gains = child_gains
@@ -347,11 +318,12 @@ def export_codebook(cb: Codebook, path) -> None:
     doubles exactly.
     """
     lines = [_FORMAT_TAG, f"n {cb.n}", f"method {cb.method.value}", f"depth {cb.depth}"]
-    for cw in cb:
-        parts = [f"codeword {cw.layer} {cw.index} {cw.active_count}"]
-        for entry in cw.awv.weights:
-            parts.append(f"{entry.real:.17e} {entry.imag:.17e}")
-        lines.append(" ".join(parts))
+    for k, (layer, counts) in enumerate(zip(cb.layers, cb.active_counts)):
+        for i, (row, active) in enumerate(zip(layer, counts)):
+            parts = [f"codeword {k} {i + 1} {active}"]
+            for entry in row:
+                parts.append(f"{entry.real:.17e} {entry.imag:.17e}")
+            lines.append(" ".join(parts))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -374,7 +346,8 @@ def load_codebook(path) -> Codebook:
     n = int(header["n"])
     method = CodebookMethod(header["method"])
     depth = int(header["depth"])
-    rows: dict[tuple[int, int], Codeword] = {}
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    stored_counts: dict[tuple[int, int], int] = {}
     for line in lines[body_start:]:
         if not line.strip():
             continue
@@ -385,16 +358,18 @@ def load_codebook(path) -> Codebook:
         values = np.array([float(x) for x in fields[4:]], dtype=np.float64)
         if values.size != 2 * n:
             raise ValueError(f"codeword ({layer},{index}) has {values.size // 2} weights, expected {n}")
-        awv = Awv(values[0::2] + 1j * values[1::2])
-        if awv.active_count != active:
-            raise ValueError(f"codeword ({layer},{index}) active_count mismatch")
-        rows[(layer, index)] = Codeword(awv=awv, layer=layer, index=index)
+        rows[(layer, index)] = values[0::2] + 1j * values[1::2]
+        stored_counts[(layer, index)] = active
     layers = []
     for k in range(depth + 1):
         try:
-            layers.append(tuple(rows[(k, i)] for i in range(1, 2**k + 1)))
+            layers.append([rows.pop((k, i)) for i in range(1, 2**k + 1)])
         except KeyError as exc:
             raise ValueError(f"missing codeword {exc} in layer {k}") from exc
-    if len(rows) != 2 ** (depth + 1) - 1:
+    if rows:
         raise ValueError("file contains extra codeword records")
-    return Codebook(n=n, method=method, layers=tuple(layers))
+    cb = Codebook(n=n, method=method, layers=tuple(layers))
+    for (k, index), active in stored_counts.items():
+        if cb.active_counts[k][index - 1] != active:
+            raise ValueError(f"codeword ({k},{index}) active_count mismatch")
+    return cb

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import DEFAULT_GRID_POINTS, angle_grid, beam_gain
+from .arrays import DEFAULT_GRID_POINTS, angle_grid, beam_gain, check_grid
 from .channels import Channel, ChannelKind, ChannelParams, sample_channel
 from .codebooks import Codebook, CodebookMethod, generate_codebook
 from .search import (
@@ -395,6 +395,7 @@ def run_beam_patterns(
     unit amplitude, which compares codewords by radiated power rather than at
     unit total power.  Columns come in (linear, dB) pairs per codeword.
     """
+    check_grid(grid_points, n)  # the gains make an M x N phase matrix
     omega = angle_grid(grid_points)
     cb = generate_codebook(method, n)
     columns: list[str] = ["omega"]
@@ -403,10 +404,9 @@ def run_beam_patterns(
     for layer, index in codewords:
         if not 0 <= layer <= cb.depth or not 1 <= index <= 2**layer:
             raise ValueError(f"no codeword at layer {layer}, index {index}")
-        cw = cb.codeword(layer, index)
-        weights = cw.awv.weights
+        weights = cb.layers[layer][index - 1]
         if per_antenna:
-            weights = weights * math.sqrt(cw.active_count)
+            weights = weights * math.sqrt(cb.active_counts[layer][index - 1])
         gains = np.abs(beam_gain(weights, omega))
         label = f"a_{layer}_{index}"
         labels.append(label)

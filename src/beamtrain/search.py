@@ -20,9 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .arrays import Awv, leaf_angles, steering_matrix
+from .arrays import leaf_angles, steering_matrix
 from .channels import Channel, db_to_linear
-from .codebooks import Codebook, Codeword
+from .codebooks import Codebook
 
 __all__ = [
     "PowerMode",
@@ -133,14 +133,10 @@ class SearchTrace:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    tx_leaf: Codeword
-    rx_leaf: Codeword
-    trace: SearchTrace
+    """The found (transmit leaf, receive leaf) pair, both 1-based, and the trace."""
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        """(transmit leaf index, receive leaf index), both 1-based."""
-        return (self.tx_leaf.index, self.rx_leaf.index)
+    pair: tuple[int, int]
+    trace: SearchTrace
 
 
 class AdjudicationPolicy(str, Enum):
@@ -155,65 +151,68 @@ def _complex_noise(rng: np.random.Generator, n: int, variance: float) -> np.ndar
 
 
 def measure(
-    w_tx: Awv,
-    w_rx: Awv,
+    w_tx: np.ndarray,
+    w_rx: np.ndarray,
     channel: Channel,
     power_model: PowerModel,
     rng: np.random.Generator,
 ) -> Measurement:
     """Send one unit training symbol through the channel and beamformers.
 
+    ``w_tx`` and ``w_rx`` are 1-D weight arrays, such as codebook layer rows.
     Noise is drawn as a circularly symmetric complex Gaussian vector across
     the receive antennas with per-entry variance ``noise_power`` and combined
     by the receive weights.  The same number of variates is consumed even in
     the noiseless case so runs at different noise levels stay stream-aligned.
     """
-    if w_tx.size != channel.n_tx or w_rx.size != channel.n_rx:
+    if w_tx.shape != (channel.n_tx,) or w_rx.shape != (channel.n_rx,):
         raise ValueError("beamformer sizes do not match the channel")
     g = channel.coupling(w_tx, w_rx)
-    noise = w_rx.weights.conj() @ _complex_noise(rng, channel.n_rx, power_model.noise_power)
-    y = np.sqrt(power_model.tx_power(w_tx.active_count)) * g + noise
+    noise = w_rx.conj() @ _complex_noise(rng, channel.n_rx, power_model.noise_power)
+    n_tx_active = np.count_nonzero(w_tx)
+    y = np.sqrt(power_model.tx_power(n_tx_active)) * g + noise
     return Measurement(
         y_power=float(abs(y) ** 2),
-        noiseless_gain=float(power_model.gain(abs(g) ** 2, w_tx.active_count)),
+        noiseless_gain=float(power_model.gain(abs(g) ** 2, n_tx_active)),
     )
 
 
 def _descend(
     cb: Codebook,
-    fixed: Awv,
+    fixed: np.ndarray,
     fixed_is_tx: bool,
     channel: Channel,
     power_model: PowerModel,
     rng: np.random.Generator,
     side: str,
     first_stage: int,
-) -> tuple[Codeword, list[SearchStep]]:
+) -> tuple[int, list[SearchStep]]:
+    """Walk ``cb`` from its root; returns the winning leaf's row (0-based)
+    and the steps, whose candidates and winners are 1-based."""
     steps: list[SearchStep] = []
-    parent = 1
+    parent = 0
     for k in range(1, cb.depth + 1):
-        lo = cb.codeword(k, 2 * parent - 1)
-        hi = cb.codeword(k, 2 * parent)
+        lo, hi = 2 * parent, 2 * parent + 1
+        w_lo, w_hi = cb.layers[k][lo], cb.layers[k][hi]
         if fixed_is_tx:
-            m_lo = measure(fixed, lo.awv, channel, power_model, rng)
-            m_hi = measure(fixed, hi.awv, channel, power_model, rng)
+            m_lo = measure(fixed, w_lo, channel, power_model, rng)
+            m_hi = measure(fixed, w_hi, channel, power_model, rng)
         else:
-            m_lo = measure(lo.awv, fixed, channel, power_model, rng)
-            m_hi = measure(hi.awv, fixed, channel, power_model, rng)
+            m_lo = measure(w_lo, fixed, channel, power_model, rng)
+            m_hi = measure(w_hi, fixed, channel, power_model, rng)
         # Ties go to the lower child index.
-        winner, m_win = (hi, m_hi) if m_hi.y_power > m_lo.y_power else (lo, m_lo)
-        parent = winner.index
+        parent, m_win = (hi, m_hi) if m_hi.y_power > m_lo.y_power else (lo, m_lo)
         steps.append(
             SearchStep(
                 stage=first_stage + k - 1,
                 side=side,
                 layer=k,
-                candidates=(lo.index, hi.index),
-                winner=winner.index,
+                candidates=(lo + 1, hi + 1),
+                winner=parent + 1,
                 measurement=m_win,
             )
         )
-    return cb.codeword(cb.depth, parent), steps
+    return parent, steps
 
 
 def hierarchical_search(
@@ -233,13 +232,12 @@ def hierarchical_search(
     """
     if cb_tx.n != channel.n_tx or cb_rx.n != channel.n_rx:
         raise ValueError("codebook sizes do not match the channel")
-    tx_root = cb_tx.codeword(0, 1)
-    rx_leaf, rx_steps = _descend(
-        cb_rx, tx_root.awv, True, channel, power_model, rng, "rx", first_stage=1
+    rx, rx_steps = _descend(
+        cb_rx, cb_tx.layers[0][0], True, channel, power_model, rng, "rx", first_stage=1
     )
-    tx_leaf, tx_steps = _descend(
+    tx, tx_steps = _descend(
         cb_tx,
-        rx_leaf.awv,
+        cb_rx.layers[-1][rx],
         False,
         channel,
         power_model,
@@ -247,9 +245,7 @@ def hierarchical_search(
         "tx",
         first_stage=cb_rx.depth + 1,
     )
-    return SearchOutcome(
-        tx_leaf=tx_leaf, rx_leaf=rx_leaf, trace=SearchTrace(tuple(rx_steps + tx_steps))
-    )
+    return SearchOutcome(pair=(tx + 1, rx + 1), trace=SearchTrace(tuple(rx_steps + tx_steps)))
 
 
 def exhaustive_search(

@@ -13,6 +13,7 @@ import numpy as np
 from conftest import ACCEPTANCE_RESULTS
 
 from beamtrain import (
+    Awv,
     ChannelParams,
     ExperimentConfig,
     PowerModel,
@@ -104,24 +105,24 @@ def test_criterion_04_structural_identities():
     problems = []
     for n in (8, 16, 32, 64, 128):
         cb_d, cb_b = generate_deact(n), generate_bmw_ss(n)
-        for i in range(1, n + 1):
-            if np.max(np.abs(cb_d.leaf(i).awv.weights - cb_b.leaf(i).awv.weights)) > 1e-12:
+        for i in range(n):
+            if np.max(np.abs(cb_d.layers[-1][i] - cb_b.layers[-1][i])) > 1e-12:
                 problems.append(f"last layer differs at N={n}")
                 break
-        for k, layer in enumerate(cb_d.layers):
-            if any(cw.active_count != 2**k for cw in layer):
+        for k, counts in enumerate(cb_d.active_counts):
+            if any(c != 2**k for c in counts):
                 problems.append(f"deact active counts at N={n} layer {k}")
         for k in range(cb_b.depth):
             ell = cb_b.depth - k
             want = max(n if ell % 2 == 0 else n // 2, 1)
-            if any(cw.active_count != want for cw in cb_b.layers[k]):
+            if any(c != want for c in cb_b.active_counts[k]):
                 problems.append(f"bmw-ss active counts at N={n} layer {k}")
         for cb in (cb_d, cb_b):
             for k, layer in enumerate(cb.layers):
-                first = layer[0].awv
-                for cw in layer:
-                    want = rotate(first, (2 * cw.index - 2) / 2**k).weights
-                    if np.max(np.abs(cw.awv.weights - want)) > 1e-12:
+                first = Awv(layer[0])
+                for i, row in enumerate(layer):
+                    want = rotate(first, 2 * i / 2**k).weights
+                    if np.max(np.abs(row - want)) > 1e-12:
                         problems.append(f"{cb.method.value} rotation at N={n} layer {k}")
                         break
     gate(

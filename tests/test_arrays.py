@@ -17,6 +17,7 @@ from beamtrain import (
 )
 from beamtrain.arrays import (
     DEFAULT_GRID_POINTS,
+    active_counts,
     MAX_GRID_POINTS,
     coverage_gains,
     steering_weights,
@@ -71,6 +72,18 @@ class TestAwv:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             Awv(np.zeros(4, dtype=complex))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            Awv(np.array([np.nan, 0.0, 1.0, 0.0]))
+
+    def test_active_counts_checks_every_row(self):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, -0.5, 0.5j, 0.5]])
+        np.testing.assert_array_equal(active_counts(rows), [1, 4])
+        with pytest.raises(ValueError, match="no active entries"):
+            active_counts(np.vstack([rows, np.zeros(4)]))
+        with pytest.raises(ValueError, match="amplitude"):
+            active_counts(np.vstack([rows, [0.5, 0.25, 0.0, 0.0]]))
 
     def test_random_awv_is_member(self):
         rng = np.random.default_rng(0)

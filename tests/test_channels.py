@@ -28,7 +28,7 @@ def literal_pair_scan(ch):
         w_t = steering_vector(ch.n_tx, -1 + (2 * (i + 1) - 1) / ch.n_tx)
         for j in range(ch.n_rx):
             w_r = steering_vector(ch.n_rx, -1 + (2 * (j + 1) - 1) / ch.n_rx)
-            best = max(best, abs(ch.coupling(w_t, w_r)) ** 2)
+            best = max(best, abs(ch.coupling(w_t.weights, w_r.weights)) ** 2)
     return best
 
 

@@ -125,8 +125,11 @@ class TestBadInput:
             ("pattern", "--method", "deact", "--n", "8", "--grid-points", "100000000000"),
             ("codebook", "--method", "deact", "--n", "8", "--validate",
              "--grid-points", "100000000000"),
+            ("pattern", "--method", "deact", "--n", "1024", "--grid-points", "1048576"),
+            ("codebook", "--method", "deact", "--n", "256", "--validate",
+             "--grid-points", "1048576"),
         ],
-        ids=["pattern", "codebook"],
+        ids=["pattern", "codebook", "pattern-cells", "codebook-cells"],
     )
     def test_huge_grid_exits_2_without_allocating(self, argv, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -164,6 +167,14 @@ class TestConfigFile:
         ) == 0
         assert out1.read_text() != out2.read_text()
         assert out1.read_text().splitlines()[0] == "snr_db,method,policy,success,stderr"
+
+    def test_config_carries_negative_list(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("n = 8\nmethods = deact\nsnr_grid = -10,0,10\nrealizations = 2\n")
+        out = tmp_path / "s.csv"
+        assert run_cli("mc-success", "--config", str(cfg), "--out", str(out)) == 0
+        snr = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+        assert snr == {"-10.0", "0.0", "10.0"}
 
     def test_malformed_config_line_errors(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

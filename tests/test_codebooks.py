@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beamtrain import (
+    Awv,
     Codebook,
-    Codeword,
     angle_grid,
     beam_gain,
     coverage_factor_rho,
@@ -39,15 +39,14 @@ def reference_reports(cb, gains, rho, parent_rho):
         uncovered.append(POINTS[~union])
     violations = []
     for k in range(cb.depth):
-        for parent, g in zip(cb.layers[k], gains[k]):
+        for i, (active, g) in enumerate(zip(cb.active_counts[k], gains[k])):
             if parent_rho is not None:
                 p_rho = parent_rho
-            elif parent.active_count > 1:
-                p_rho = coverage_factor_rho(parent.active_count)
+            elif active > 1:
+                p_rho = coverage_factor_rho(active)
             else:
                 p_rho = rho
-            lo, hi = parent.children
-            union = mask(gains[k + 1][lo - 1], rho) | mask(gains[k + 1][hi - 1], rho)
+            union = mask(gains[k + 1][2 * i], rho) | mask(gains[k + 1][2 * i + 1], rho)
             violations.append(POINTS[mask(g, p_rho) & ~union])
     return uncovered, violations
 
@@ -75,31 +74,29 @@ def test_leaves_are_the_oracle_steering_columns(method, n):
     cb = generate_codebook(method, n)
     mat = steering_matrix(n)
     for i in range(n):
-        assert np.array_equal(mat[:, i], cb.leaf(i + 1).awv.weights)
+        assert np.array_equal(mat[:, i], cb.layers[-1][i])
 
 
 class TestDeact:
     def test_two_antenna_root(self):
         cb = generate_deact(2)
-        np.testing.assert_allclose(cb.codeword(0, 1).awv.weights, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cb.layers[0][0], [1.0, 0.0], atol=1e-15)
 
     def test_four_antenna_layer1(self):
         cb = generate_deact(4)
         want = np.array([1.0, -1.0j, 0.0, 0.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(cb.codeword(1, 1).awv.weights, want, atol=1e-14)
+        np.testing.assert_allclose(cb.layers[1][0], want, atol=1e-14)
 
     def test_last_layer_is_steering(self):
         cb = generate_deact(8)
         for i in range(1, 9):
             want = steering_vector(8, -1 + (2 * i - 1) / 8)
-            np.testing.assert_allclose(
-                cb.codeword(3, i).awv.weights, want.weights, atol=1e-14
-            )
+            np.testing.assert_allclose(cb.layers[3][i - 1], want.weights, atol=1e-14)
 
     def test_active_counts_double_per_layer(self):
         cb = generate_deact(64)
-        for k, layer in enumerate(cb.layers):
-            assert all(cw.active_count == 2**k for cw in layer)
+        for k, counts in enumerate(cb.active_counts):
+            assert all(counts == 2**k)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -108,7 +105,7 @@ class TestDeact:
     def test_single_antenna_degenerate(self):
         cb = generate_deact(1)
         assert cb.depth == 0
-        assert cb.codeword(0, 1).active_count == 1
+        assert cb.active_counts[0][0] == 1
 
 
 class TestBmwSs:
@@ -116,23 +113,19 @@ class TestBmwSs:
         # One active sub-array of two antennas, scalar phase -pi/2.
         cb = generate_bmw_ss(4)
         want = np.exp(-1j * np.pi / 2) * np.array([1.0, -1.0j, 0, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(cb.codeword(1, 1).awv.weights, want, atol=1e-14)
-        assert cb.codeword(1, 1).active_count == 2
+        np.testing.assert_allclose(cb.layers[1][0], want, atol=1e-14)
+        assert cb.active_counts[1][0] == 2
 
     def test_four_antenna_root_all_active(self):
         cb = generate_bmw_ss(4)
-        assert cb.codeword(0, 1).active_count == 4
-        np.testing.assert_allclose(
-            cb.codeword(0, 1).awv.weights, hand_built_bmw_first(4, 0), atol=1e-14
-        )
+        assert cb.active_counts[0][0] == 4
+        np.testing.assert_allclose(cb.layers[0][0], hand_built_bmw_first(4, 0), atol=1e-14)
 
     @pytest.mark.parametrize("n", [8, 32, 128])
     def test_first_codewords_match_hand_construction(self, n):
         cb = generate_bmw_ss(n)
         for k in range(cb.depth):
-            np.testing.assert_allclose(
-                cb.codeword(k, 1).awv.weights, hand_built_bmw_first(n, k), atol=1e-13
-            )
+            np.testing.assert_allclose(cb.layers[k][0], hand_built_bmw_first(n, k), atol=1e-13)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_active_counts_full_or_half(self, n):
@@ -142,8 +135,7 @@ class TestBmwSs:
             want = n if ell % 2 == 0 else n // 2
             # A single active antenna can occur only for the two-antenna array.
             want = max(want, 1)
-            for cw in cb.layers[k]:
-                assert cw.active_count == want
+            assert all(cb.active_counts[k] == want)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -153,28 +145,32 @@ class TestBmwSs:
 
     def test_two_antenna_root_single_active(self):
         cb = generate_bmw_ss(2)
-        np.testing.assert_allclose(
-            np.abs(cb.codeword(0, 1).awv.weights), [1.0, 0.0], atol=1e-14
-        )
+        np.testing.assert_allclose(np.abs(cb.layers[0][0]), [1.0, 0.0], atol=1e-14)
 
 
 class TestSharedStructure:
     @pytest.mark.parametrize("n", [8, 64])
     def test_methods_share_last_layer(self, n):
         cb_d, cb_b = generate_deact(n), generate_bmw_ss(n)
-        for i in range(1, n + 1):
-            np.testing.assert_allclose(
-                cb_d.leaf(i).awv.weights, cb_b.leaf(i).awv.weights, atol=1e-12
-            )
+        np.testing.assert_allclose(cb_d.layers[-1], cb_b.layers[-1], atol=1e-12)
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     def test_layers_are_rotations_of_first(self, method):
         cb = generate_codebook(method, 32)
         for k, layer in enumerate(cb.layers):
-            first = layer[0].awv
-            for cw in layer:
-                want = rotate(first, (2 * cw.index - 2) / 2**k)
-                np.testing.assert_allclose(cw.awv.weights, want.weights, atol=1e-12)
+            first = Awv(layer[0])
+            for i, row in enumerate(layer):
+                want = rotate(first, 2 * i / 2**k)
+                np.testing.assert_allclose(row, want.weights, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(["deact", "bmw-ss"]), log2_n=st.integers(1, 9), data=st.data())
+    def test_rotated_rows_equal_rotate_bit_for_bit(self, method, log2_n, data):
+        cb = generate_codebook(method, 2**log2_n)
+        k = data.draw(st.integers(0, cb.depth - 1))
+        layer = cb.layers[k]
+        for i, row in enumerate(layer):
+            assert row.tobytes() == rotate(Awv(layer[0]), 2 * i / 2**k).weights.tobytes()
 
     def test_layer_sizes(self):
         cb = generate_codebook("bmw-ss", 16)
@@ -190,9 +186,11 @@ class TestCriterionValidation:
 
     def test_missing_leaf_fails_with_gap(self):
         cb = generate_deact(16)
-        # Drop leaf 5; the layer union then misses roughly its 2/16-wide bin.
-        broken_layers = cb.layers[:-1] + (cb.layers[-1][:4] + cb.layers[-1][5:],)
-        broken = Codebook(n=16, method=cb.method, layers=broken_layers)
+        # Overwrite leaf 5 with leaf 4; the layer union then misses roughly
+        # leaf 5's 2/16-wide bin.
+        leaves = cb.layers[-1].copy()
+        leaves[4] = leaves[3]
+        broken = Codebook(n=16, method=cb.method, layers=cb.layers[:-1] + (leaves,))
         report = validate_criterion1(broken, 0.5, GRID_POINTS)
         assert not report.passed
         gap = report.layers[-1].uncovered
@@ -202,20 +200,16 @@ class TestCriterionValidation:
 
     def test_swapped_children_fail_containment(self):
         cb = generate_deact(16)
-        layer1 = list(cb.layers[1])
         # Exchange the two children subtending different halves of the domain.
-        layer1[0], layer1[1] = (
-            Codeword(awv=layer1[1].awv, layer=1, index=1),
-            Codeword(awv=layer1[0].awv, layer=1, index=2),
-        )
-        broken = Codebook(n=16, method=cb.method, layers=(cb.layers[0], tuple(layer1)) + cb.layers[2:])
+        layer1 = cb.layers[1][::-1]
+        broken = Codebook(n=16, method=cb.method, layers=(cb.layers[0], layer1) + cb.layers[2:])
         assert not validate_criterion2(broken, 0.5, GRID_POINTS).passed
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_reports_match_beam_gain_reference(self, method, n):
         cb = generate_codebook(method, n)
-        gains = [[np.abs(beam_gain(cw.awv, POINTS)) for cw in layer] for layer in cb.layers]
+        gains = [[np.abs(beam_gain(row, POINTS)) for row in layer] for layer in cb.layers]
         for rho in (0.5, 0.25):
             for parent_rho in (None, 0.5):
                 uncovered, violations = reference_reports(cb, gains, rho, parent_rho)
@@ -266,10 +260,8 @@ class TestExport:
         assert loaded.n == cb.n and loaded.method == cb.method
         assert loaded.depth == cb.depth
         for k, layer in enumerate(cb.layers):
-            for cw in layer:
-                got = loaded.codeword(k, cw.index)
-                assert got.active_count == cw.active_count
-                np.testing.assert_array_equal(got.awv.weights, cw.awv.weights)
+            np.testing.assert_array_equal(loaded.active_counts[k], cb.active_counts[k])
+            np.testing.assert_array_equal(loaded.layers[k], layer)
 
     def test_file_shape_small_codebook(self, tmp_path):
         path = tmp_path / "cb.txt"
@@ -303,6 +295,31 @@ class TestExport:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             load_codebook(path)
+
+    def test_rejects_depth_that_does_not_match_n(self, tmp_path):
+        # Layers 0-2 of an N=16 codebook under "depth 2" are 4 wide beams,
+        # not a codebook for 16 antennas: a search on them ends off the leaves.
+        path = tmp_path / "cb.txt"
+        export_codebook(generate_deact(16), path)
+        lines = [
+            "depth 2" if ln.startswith("depth ") else ln
+            for ln in path.read_text().splitlines()
+            if not ln.startswith(("codeword 3 ", "codeword 4 "))
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="layers"):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+    @pytest.mark.parametrize("n_layers", [1, 3, 4])
+    def test_codebook_needs_log2_n_plus_one_layers(self, method, n_layers):
+        layers = generate_codebook(method, 16).layers[:n_layers]
+        with pytest.raises(ValueError, match="layers"):
+            Codebook(n=16, method=method, layers=layers)
+
+    def test_codebook_needs_power_of_two_n(self):
+        with pytest.raises(ValueError, match="power of two"):
+            Codebook(n=12, method="deact", layers=generate_deact(16).layers)
 
     @pytest.mark.parametrize("key", ["n", "method", "depth"])
     def test_missing_header_line_names_key(self, tmp_path, key):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain import (
     AdjudicationPolicy,
@@ -14,6 +16,7 @@ from beamtrain import (
     exhaustive_search,
     generate_codebook,
     hierarchical_search,
+    leaf_angles,
     measure,
     nearest_leaf,
     sample_channel,
@@ -66,8 +69,8 @@ class TestMeasure:
         w_t = steering_vector(8, -0.2)
         w_r = steering_vector(8, 0.3)
         pm = PowerModel.total(1.0, 0.0)
-        m = measure(w_t, w_r, ch, pm, np.random.default_rng(0))
-        want = abs(ch.coupling(w_t, w_r)) ** 2
+        m = measure(w_t.weights, w_r.weights, ch, pm, np.random.default_rng(0))
+        want = abs(ch.coupling(w_t.weights, w_r.weights)) ** 2
         assert m.y_power == pytest.approx(want, rel=1e-12)
         assert m.noiseless_gain == pytest.approx(want, rel=1e-12)
 
@@ -75,9 +78,11 @@ class TestMeasure:
         ch = unit_path_channel(8, 0.3, -0.2)
         w_t = steering_vector(8, -0.2)
         w_r = steering_vector(8, 0.3)
-        m = measure(w_t, w_r, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0))
+        m = measure(
+            w_t.weights, w_r.weights, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0)
+        )
         assert m.noiseless_gain == pytest.approx(
-            8 * abs(ch.coupling(w_t, w_r)) ** 2, rel=1e-12
+            8 * abs(ch.coupling(w_t.weights, w_r.weights)) ** 2, rel=1e-12
         )
 
     def test_zero_channel_noise_expectation(self):
@@ -89,7 +94,7 @@ class TestMeasure:
         w_t, w_r = steering_vector(4, 0.0), steering_vector(8, 0.0)
         rng = np.random.default_rng(1)
         draws = np.array(
-            [measure(w_t, w_r, ch, pm, rng).y_power for _ in range(100_000)]
+            [measure(w_t.weights, w_r.weights, ch, pm, rng).y_power for _ in range(100_000)]
         )
         # |y|^2 is exponential with mean n0, so the standard error is n0/sqrt(R).
         assert np.mean(draws) == pytest.approx(n0, abs=3 * n0 / np.sqrt(draws.size))
@@ -98,8 +103,8 @@ class TestMeasure:
         ch = unit_path_channel(8, 0.0, 0.0)
         with pytest.raises(ValueError):
             measure(
-                steering_vector(4, 0.0),
-                steering_vector(8, 0.0),
+                steering_vector(4, 0.0).weights,
+                steering_vector(8, 0.0).weights,
                 ch,
                 PowerModel.total(),
                 np.random.default_rng(0),
@@ -149,7 +154,65 @@ class TestHierarchicalSearch:
         ch = sample_channel(ChannelParams(16, 8, 2), np.random.default_rng(7))
         out = hierarchical_search(cb_tx, cb_rx, ch, PowerModel.total(), np.random.default_rng(8))
         assert out.trace.n_stages == 3 + 4
-        assert out.rx_leaf.layer == 3 and out.tx_leaf.layer == 4
+        assert 1 <= out.pair[0] <= 16 and 1 <= out.pair[1] <= 8
+
+
+search_sizes = st.sampled_from([2**e for e in range(1, 7)])
+search_methods = st.sampled_from(["deact", "bmw-ss"])
+
+
+class TestSearchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=search_methods,
+        n_tx=search_sizes,
+        n_rx=search_sizes,
+        kind=st.sampled_from(list(ChannelKind)),
+        n_paths=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        snr_db=st.floats(-10.0, 40.0),
+    )
+    def test_each_stage_splits_the_previous_winner(
+        self, method, n_tx, n_rx, kind, n_paths, seed, snr_db
+    ):
+        cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
+        ch = sample_channel(ChannelParams(n_tx, n_rx, n_paths, kind), np.random.default_rng(seed))
+        pm = PowerModel.from_snr_db("total", snr_db)
+        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed + 1))
+        depth_rx, depth_tx = n_rx.bit_length() - 1, n_tx.bit_length() - 1
+        steps = out.trace.steps
+        assert out.trace.n_stages == depth_rx + depth_tx
+        assert [s.side for s in steps] == ["rx"] * depth_rx + ["tx"] * depth_tx
+        for side, side_steps in (("rx", steps[:depth_rx]), ("tx", steps[depth_rx:])):
+            parent = 1
+            for k, step in enumerate(side_steps, start=1):
+                assert step.layer == k
+                assert step.candidates == (2 * parent - 1, 2 * parent)
+                assert step.winner in step.candidates
+                parent = step.winner
+            assert out.pair[0 if side == "tx" else 1] == parent
+
+    @settings(max_examples=30, deadline=None)
+    @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, seed=st.integers(0, 99))
+    def test_zero_channel_ties_go_to_the_lower_child(self, method, n_tx, n_rx, seed):
+        cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
+        ch = Channel(n_tx, n_rx, (), np.zeros((n_rx, n_tx), dtype=complex))
+        pm = PowerModel.total(1.0, 0.0)
+        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed))
+        assert out.pair == (1, 1)
+        assert all(step.winner == step.candidates[0] for step in out.trace.steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, data=st.data())
+    def test_noiseless_on_grid_path_reaches_exhaustive_pair(self, method, n_tx, n_rx, data):
+        i_tx = data.draw(st.integers(0, n_tx - 1))
+        i_rx = data.draw(st.integers(0, n_rx - 1))
+        mpc = Mpc(coeff=1.0, omega=leaf_angles(n_rx)[i_rx], psi=leaf_angles(n_tx)[i_tx])
+        ch = Channel(n_tx, n_rx, (mpc,), assemble_matrix(n_tx, n_rx, [mpc]))
+        pm = PowerModel.total(1.0, 0.0)
+        cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
+        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(0))
+        assert out.pair == exhaustive_search(ch, pm)[:2] == (i_tx + 1, i_rx + 1)
 
 
 class TestExhaustiveSearch:
@@ -170,7 +233,7 @@ class TestExhaustiveSearch:
                 w_t = steering_vector(16, -1 + (2 * (i + 1) - 1) / 16)
                 for j in range(16):
                     w_r = steering_vector(16, -1 + (2 * (j + 1) - 1) / 16)
-                    gains[i, j] = abs(ch.coupling(w_t, w_r)) ** 2
+                    gains[i, j] = abs(ch.coupling(w_t.weights, w_r.weights)) ** 2
             tx, rx, gain = exhaustive_search(ch, pm)
             assert gain == pytest.approx(gains.max(), rel=1e-10)
             assert gains[tx - 1, rx - 1] == pytest.approx(gains.max(), rel=1e-10)
