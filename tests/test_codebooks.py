@@ -172,6 +172,13 @@ class TestSharedStructure:
         for i, row in enumerate(layer):
             assert row.tobytes() == rotate(Awv(layer[0]), 2 * i / 2**k).weights.tobytes()
 
+    @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+    def test_layers_are_read_only_c_arrays(self, method):
+        cb = generate_codebook(method, 16)
+        for layer, counts in zip(cb.layers, cb.active_counts):
+            assert layer.flags.c_contiguous and not layer.flags.writeable
+            assert not counts.flags.writeable
+
     def test_layer_sizes(self):
         cb = generate_codebook("bmw-ss", 16)
         assert [len(layer) for layer in cb.layers] == [1, 2, 4, 8, 16]
