@@ -17,8 +17,10 @@ from beamtrain import (
 )
 from beamtrain.arrays import (
     DEFAULT_GRID_POINTS,
+    MAX_GRID_CELLS,
     active_counts,
     MAX_GRID_POINTS,
+    check_grid,
     coverage_gains,
     steering_weights,
 )
@@ -235,6 +237,12 @@ class TestBeamCoverage:
             coverage_gains(w, grid_points)
         with pytest.raises(ValueError, match="grid_points"):
             angle_grid(grid_points)
+
+    def test_cell_budget_boundary(self):
+        # M*N = MAX_GRID_CELLS is the largest accepted grid; checked without allocating.
+        check_grid(MAX_GRID_CELLS // 1024, 1024)
+        with pytest.raises(ValueError, match="grid_points"):
+            check_grid(MAX_GRID_CELLS // 1024 + 1, 1024)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
