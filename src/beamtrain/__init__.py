@@ -47,7 +47,6 @@ from .search import (
     hierarchical_search,
     measure,
     nearest_leaf,
-    trace_rows,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,8 @@ _AMPLITUDE_TOL = 1e-9
 # Coverage grid sizes: 4096 points oversample beams of arrays up to N=512.
 # A grid of M points for an N-antenna array makes M x N arrays (the pattern's
 # phase matrix, a leaf layer's FFT), so the caps bound M and M*N: 2**26 cells
-# are 1 GiB of complex128.
+# are 1 GiB of complex128.  The same cell budget caps a codebook's (2N-1) x N
+# weights and a Monte-Carlo run's result arrays.
 DEFAULT_GRID_POINTS = 4096
 MAX_GRID_POINTS = 2**20
 MAX_GRID_CELLS = 2**26

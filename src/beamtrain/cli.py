@@ -33,13 +33,7 @@ from .experiments import (
     run_received_power,
     run_success_rate,
 )
-from .search import (
-    TRACE_COLUMNS,
-    adjudicate,
-    exhaustive_search,
-    hierarchical_search,
-    trace_rows,
-)
+from .search import TRACE_COLUMNS, adjudicate, exhaustive_search, hierarchical_search
 
 __all__ = ["main", "entrypoint"]
 
@@ -164,8 +158,12 @@ def _inject_config(argv: list[str]) -> list[str]:
     tokens: list[str] = []
     for key, value in read_config_file(Path(argv[idx + 1])).items():
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "yes", "on") and key in ("validate", "per_antenna", "per-antenna"):
-            tokens.append(flag)
+        if flag in ("--validate", "--per-antenna"):
+            word = value.lower()
+            if word in ("true", "yes", "on", "1"):
+                tokens.append(flag)
+            elif word not in ("false", "no", "off", "0"):
+                raise ValueError(f"{key} takes true or false, got {value!r}")
         else:
             # One token, so that a value such as "-10,0,10" is not read as a flag.
             tokens.append(f"{flag}={value}")
@@ -236,7 +234,7 @@ def _cmd_search(args) -> int:
     outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, np.random.default_rng(noise_ss))
     print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
           f"{'y_power':>12} {'gain':>12}")
-    for stage, side, c1, c2, win, y_pow, gain in trace_rows(outcome):
+    for stage, side, c1, c2, win, y_pow, gain in outcome.trace:
         print(f"{stage:>5} {side:>4} {f'({c1},{c2})':>9} {win:>6} {y_pow:>12.5g} {gain:>12.5g}")
     tx_best, rx_best, best_gain = exhaustive_search(channel, pm)
     print(f"found pair (tx={outcome.pair[0]}, rx={outcome.pair[1]}); "
@@ -246,7 +244,7 @@ def _cmd_search(args) -> int:
         verdict = "success" if adjudicate(outcome, channel, policy, best_pair) else "failure"
         print(f"policy {policy.value}: {verdict}")
     if args.out is not None:
-        ExperimentResult(columns=TRACE_COLUMNS, rows=trace_rows(outcome)).write_csv(args.out)
+        ExperimentResult(columns=TRACE_COLUMNS, rows=list(outcome.trace)).write_csv(args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .arrays import (
     DEFAULT_GRID_POINTS,
+    MAX_GRID_CELLS,
     active_counts,
     angle_grid,
     coverage_factor_rho,
@@ -36,6 +37,7 @@ from .arrays import (
 __all__ = [
     "CodebookMethod",
     "Codebook",
+    "check_array_size",
     "generate_codebook",
     "generate_deact",
     "generate_bmw_ss",
@@ -55,10 +57,18 @@ class CodebookMethod(str, Enum):
     BMW_SS = "bmw-ss"
 
 
-def _require_power_of_two(n: int, minimum: int) -> int:
+def check_array_size(n: int, minimum: int = 1) -> int:
+    """log2(n), for a power of two n >= ``minimum`` whose (2n - 1) x n
+    codebook fits in MAX_GRID_CELLS (so n <= 4096); raises before any layer
+    exists otherwise."""
     if n < minimum or n & (n - 1):
         raise ValueError(
             f"unsupported array size {n}: must be a power of two and >= {minimum}"
+        )
+    if (2 * n - 1) * n > MAX_GRID_CELLS:
+        raise ValueError(
+            f"unsupported array size {n}: its codebook makes {(2 * n - 1) * n} cells; "
+            f"(2N-1)*N must be at most {MAX_GRID_CELLS}"
         )
     return n.bit_length() - 1
 
@@ -81,7 +91,7 @@ class Codebook:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", CodebookMethod(self.method))
-        depth = _require_power_of_two(self.n, minimum=1)
+        depth = check_array_size(self.n)
         if len(self.layers) != depth + 1:
             raise ValueError(
                 f"a codebook for N={self.n} has {depth + 1} layers, got {len(self.layers)}"
@@ -118,7 +128,7 @@ def generate_deact(n: int) -> Codebook:
     -1 + (2i + 1)/2^k in its leading entries, padded with zeros; the last
     layer is the shared leaf layer.
     """
-    depth = _require_power_of_two(n, minimum=1)
+    depth = check_array_size(n)
     layers = []
     for k in range(depth):
         size = 2**k
@@ -139,7 +149,7 @@ def generate_bmw_ss(n: int) -> Codebook:
     is rescaled to unit power and the remaining codewords of the layer are
     beam rotations of the first.  Active antenna counts are N or N/2.
     """
-    depth = _require_power_of_two(n, minimum=2)
+    depth = check_array_size(n, minimum=2)
     layers = []
     for k in range(depth):
         ell = depth - k
@@ -354,7 +364,11 @@ def load_codebook(path) -> Codebook:
         fields = line.split()
         if fields[0] != "codeword":
             raise ValueError(f"unexpected record {fields[0]!r}")
+        if len(fields) < 4:
+            raise ValueError(f"record {line!r} lacks its layer, index and active count")
         layer, index, active = int(fields[1]), int(fields[2]), int(fields[3])
+        if (layer, index) in rows:
+            raise ValueError(f"duplicate codeword record ({layer},{index})")
         values = np.array([float(x) for x in fields[4:]], dtype=np.float64)
         if values.size != 2 * n:
             raise ValueError(f"codeword ({layer},{index}) has {values.size // 2} weights, expected {n}")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import DEFAULT_GRID_POINTS, angle_grid, beam_gain, check_grid
+from .arrays import DEFAULT_GRID_POINTS, MAX_GRID_CELLS, angle_grid, beam_gain, check_grid
 from .channels import Channel, ChannelKind, ChannelParams, sample_channel
-from .codebooks import Codebook, CodebookMethod, generate_codebook
+from .codebooks import Codebook, CodebookMethod, check_array_size, generate_codebook
 from .search import (
     AdjudicationPolicy,
     PowerMode,
@@ -97,6 +97,7 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
         if self.n_tx < 2 or self.n_rx < 2:
             raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
+        n_steps = check_array_size(self.n_tx) + check_array_size(self.n_rx)
         if not self.methods:
             raise ValueError("need at least one codebook method")
         if self.channel not in ("los", "nlos", "both"):
@@ -109,6 +110,16 @@ class ExperimentConfig:
             raise ValueError("need at least one realization")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        # The larger of the arrays a run fills up front: success flags per SNR
+        # point and policy, or winner powers per channel kind and step.
+        cells = self.realizations * len(self.methods) * max(
+            len(self.snr_db) * len(POLICY_ORDER), len(self.kinds) * n_steps
+        )
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"{self.realizations} realizations make a result array of {cells} cells; "
+                f"at most {MAX_GRID_CELLS}"
+            )
         for kind in self.kinds:
             self.channel_params(kind)  # checks the path count and eta_db up front
         for snr_db in self.snr_db:
@@ -222,8 +233,8 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     kinds = cfg.kinds
     pairs = _codebook_pairs(cfg)
     pm = cfg.power_model(cfg.snr_db[0])
-    n_stages = pairs[0][0].depth + pairs[0][1].depth
-    winners = np.empty((stop - start, len(kinds), len(pairs), n_stages))
+    n_steps = pairs[0][0].depth + pairs[0][1].depth
+    winners = np.empty((stop - start, len(kinds), len(pairs), n_steps))
     bounds = np.empty((stop - start, len(kinds)))
     for i, r in enumerate(range(start, stop)):
         for ki, kind in enumerate(kinds):
@@ -233,10 +244,7 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             for mi, (cb_tx, cb_rx) in enumerate(pairs):
                 rng = np.random.default_rng(noise_ss)  # same noise per method
                 outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, rng)
-                winners[i, ki, mi] = [
-                    pm.power * step.measurement.noiseless_gain
-                    for step in outcome.trace.steps
-                ]
+                winners[i, ki, mi] = [pm.power * row.noiseless_gain for row in outcome.trace]
     return winners, bounds
 
 
@@ -252,8 +260,8 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("received-power runs use exactly one SNR point")
     t0 = time.monotonic()
     kinds = cfg.kinds
-    n_stages = int(math.log2(cfg.n_rx) + math.log2(cfg.n_tx))
-    winners = np.empty((cfg.realizations, len(kinds), len(cfg.methods), n_stages))
+    n_steps = int(math.log2(cfg.n_rx) + math.log2(cfg.n_tx))
+    winners = np.empty((cfg.realizations, len(kinds), len(cfg.methods), n_steps))
     bounds = np.empty((cfg.realizations, len(kinds)))
     _run_chunked(_power_chunk, cfg, (winners, bounds))
 
@@ -271,7 +279,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
             stderr_db = np.array(
                 [
                     (10.0 / math.log(10.0)) * _stderr(samples[:, s]) / mean_w[s]
-                    for s in range(n_stages)
+                    for s in range(n_steps)
                 ]
             )
             stats["power"][(kind.value, method)] = {
@@ -279,7 +287,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
                 "mean_power_db": mean_db,
                 "stderr_db": stderr_db,
             }
-            for s in range(n_stages):
+            for s in range(n_steps):
                 rows.append(
                     (
                         s + 1,

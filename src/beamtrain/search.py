@@ -1,4 +1,4 @@
-"""Measurement model, binary-tree hierarchical search, and adjudication.
+"""Training measurements, binary-tree hierarchical search, and adjudication.
 
 A single training symbol is sent per candidate codeword.  Under the total
 power model the received sample is
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,7 @@ from .codebooks import Codebook
 __all__ = [
     "PowerMode",
     "PowerModel",
-    "Measurement",
-    "SearchStep",
-    "SearchTrace",
+    "TraceRow",
     "SearchOutcome",
     "AdjudicationPolicy",
     "measure",
@@ -37,7 +36,6 @@ __all__ = [
     "exhaustive_search",
     "adjudicate",
     "nearest_leaf",
-    "trace_rows",
     "TRACE_COLUMNS",
 ]
 
@@ -100,43 +98,30 @@ class PowerModel:
         return n_tx_active * coupling_sq
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One training observation: measured |y|^2 and the noiseless power gain."""
+class TraceRow(NamedTuple):
+    """One search stage: the 1-based candidates measured, the one kept, and
+    its measured |y|^2 and noiseless power gain.  Every cell is a Python
+    scalar, so the trace is its own CSV rows."""
 
+    stage: int
+    side: str
+    candidate_1: int
+    candidate_2: int
+    winner: int
     y_power: float
     noiseless_gain: float
 
 
-@dataclass(frozen=True)
-class SearchStep:
-    stage: int
-    side: str
-    layer: int
-    candidates: tuple[int, int]
-    winner: int
-    measurement: Measurement
-
-
-@dataclass(frozen=True)
-class SearchTrace:
-    steps: tuple[SearchStep, ...]
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.steps)
-
-    @property
-    def n_measurements(self) -> int:
-        return 2 * len(self.steps)
+TRACE_COLUMNS = TraceRow._fields
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The found (transmit leaf, receive leaf) pair, both 1-based, and the trace."""
+    """The found (transmit leaf, receive leaf) pair, both 1-based, and the
+    trace, one row per stage."""
 
     pair: tuple[int, int]
-    trace: SearchTrace
+    trace: tuple[TraceRow, ...]
 
 
 class AdjudicationPolicy(str, Enum):
@@ -156,8 +141,9 @@ def measure(
     channel: Channel,
     power_model: PowerModel,
     rng: np.random.Generator,
-) -> Measurement:
-    """Send one unit training symbol through the channel and beamformers.
+) -> tuple[float, float]:
+    """Send one unit training symbol through the channel and beamformers;
+    returns the measured |y|^2 and the noiseless power gain.
 
     ``w_tx`` and ``w_rx`` are 1-D weight arrays, such as codebook layer rows.
     Noise is drawn as a circularly symmetric complex Gaussian vector across
@@ -171,48 +157,33 @@ def measure(
     noise = w_rx.conj() @ _complex_noise(rng, channel.n_rx, power_model.noise_power)
     n_tx_active = np.count_nonzero(w_tx)
     y = np.sqrt(power_model.tx_power(n_tx_active)) * g + noise
-    return Measurement(
-        y_power=float(abs(y) ** 2),
-        noiseless_gain=float(power_model.gain(abs(g) ** 2, n_tx_active)),
-    )
+    return float(abs(y) ** 2), float(power_model.gain(abs(g) ** 2, n_tx_active))
 
 
 def _descend(
     cb: Codebook,
     fixed: np.ndarray,
-    fixed_is_tx: bool,
+    side: str,
     channel: Channel,
     power_model: PowerModel,
     rng: np.random.Generator,
-    side: str,
-    first_stage: int,
-) -> tuple[int, list[SearchStep]]:
-    """Walk ``cb`` from its root; returns the winning leaf's row (0-based)
-    and the steps, whose candidates and winners are 1-based."""
-    steps: list[SearchStep] = []
+    trace: list[TraceRow],
+) -> int:
+    """Walk ``cb`` from its root against the ``fixed`` weights of the other
+    side, appending one row per stage to ``trace``; returns the winning
+    leaf's row (0-based)."""
     parent = 0
     for k in range(1, cb.depth + 1):
-        lo, hi = 2 * parent, 2 * parent + 1
-        w_lo, w_hi = cb.layers[k][lo], cb.layers[k][hi]
-        if fixed_is_tx:
-            m_lo = measure(fixed, w_lo, channel, power_model, rng)
-            m_hi = measure(fixed, w_hi, channel, power_model, rng)
-        else:
-            m_lo = measure(w_lo, fixed, channel, power_model, rng)
-            m_hi = measure(w_hi, fixed, channel, power_model, rng)
+        lo = 2 * parent
+        measured = []
+        for w in cb.layers[k][lo : lo + 2]:  # lower child first: fixes the noise order
+            w_tx, w_rx = (fixed, w) if side == "rx" else (w, fixed)
+            measured.append(measure(w_tx, w_rx, channel, power_model, rng))
+        (y_lo, g_lo), (y_hi, g_hi) = measured
         # Ties go to the lower child index.
-        parent, m_win = (hi, m_hi) if m_hi.y_power > m_lo.y_power else (lo, m_lo)
-        steps.append(
-            SearchStep(
-                stage=first_stage + k - 1,
-                side=side,
-                layer=k,
-                candidates=(lo + 1, hi + 1),
-                winner=parent + 1,
-                measurement=m_win,
-            )
-        )
-    return parent, steps
+        parent, y_win, g_win = (lo + 1, y_hi, g_hi) if y_hi > y_lo else (lo, y_lo, g_lo)
+        trace.append(TraceRow(len(trace) + 1, side, lo + 1, lo + 2, parent + 1, y_win, g_win))
+    return parent
 
 
 def hierarchical_search(
@@ -232,20 +203,10 @@ def hierarchical_search(
     """
     if cb_tx.n != channel.n_tx or cb_rx.n != channel.n_rx:
         raise ValueError("codebook sizes do not match the channel")
-    rx, rx_steps = _descend(
-        cb_rx, cb_tx.layers[0][0], True, channel, power_model, rng, "rx", first_stage=1
-    )
-    tx, tx_steps = _descend(
-        cb_tx,
-        cb_rx.layers[-1][rx],
-        False,
-        channel,
-        power_model,
-        rng,
-        "tx",
-        first_stage=cb_rx.depth + 1,
-    )
-    return SearchOutcome(pair=(tx + 1, rx + 1), trace=SearchTrace(tuple(rx_steps + tx_steps)))
+    trace: list[TraceRow] = []
+    rx = _descend(cb_rx, cb_tx.layers[0][0], "rx", channel, power_model, rng, trace)
+    tx = _descend(cb_tx, cb_rx.layers[-1][rx], "tx", channel, power_model, rng, trace)
+    return SearchOutcome(pair=(tx + 1, rx + 1), trace=tuple(trace))
 
 
 def exhaustive_search(
@@ -300,30 +261,3 @@ def adjudicate(
         found == (nearest_leaf(channel.n_tx, m.psi), nearest_leaf(channel.n_rx, m.omega))
         for m in mpcs
     )
-
-
-TRACE_COLUMNS = (
-    "stage",
-    "side",
-    "candidate_1",
-    "candidate_2",
-    "winner",
-    "y_power",
-    "noiseless_gain",
-)
-
-
-def trace_rows(outcome: SearchOutcome) -> list[tuple]:
-    """Row-per-stage tabular view of a search trace (see TRACE_COLUMNS)."""
-    return [
-        (
-            step.stage,
-            step.side,
-            step.candidates[0],
-            step.candidates[1],
-            step.winner,
-            step.measurement.y_power,
-            step.measurement.noiseless_gain,
-        )
-        for step in outcome.trace.steps
-    ]

@@ -33,6 +33,7 @@ from beamtrain import (
     validate_criterion1,
     validate_criterion2,
 )
+from beamtrain import search
 
 GRID_POINTS = 4096
 SEED = 1
@@ -172,7 +173,15 @@ def test_criterion_06_noiseless_search_matches_exhaustive():
     )
 
 
-def test_criterion_07_search_cost():
+def test_criterion_07_search_cost(monkeypatch):
+    calls = []
+    real_measure = search.measure
+
+    def counted_measure(*args):
+        calls.append(None)
+        return real_measure(*args)
+
+    monkeypatch.setattr(search, "measure", counted_measure)
     pm = PowerModel.from_snr_db("total", 20.0)
     params = ChannelParams(n_tx=64, n_rx=64, n_paths=3)
     ok = True
@@ -180,8 +189,9 @@ def test_criterion_07_search_cost():
         cb = generate_codebook(method, 64)
         for r in range(25):
             ch = sample_channel(params, np.random.default_rng((SEED, 70, r)))
+            calls.clear()
             out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((SEED, 71, r)))
-            if out.trace.n_stages != 12 or out.trace.n_measurements != 24:
+            if len(out.trace) != 12 or len(calls) != 24:
                 ok = False
     gate("7 search cost", ok, "every N=64 trace has 12 stages and 24 measurements")
 

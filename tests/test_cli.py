@@ -12,6 +12,32 @@ def run_cli(*args):
     return main(list(args))
 
 
+# `search --n 8 --channel los --methods bmw-ss --seed 7`: stdout up to the
+# "wrote" line, and the trace CSV, byte for byte.
+PINNED_SEARCH_STDOUT = """\
+stage side     cands winner      y_power         gain
+    1   rx     (1,2)      2       1.6718       1.6455
+    2   rx     (3,4)      3        4.703       4.6905
+    3   rx     (5,6)      6       6.5774       6.5582
+    4   tx     (1,2)      2       8.6265       8.6275
+    5   tx     (3,4)      4       19.782       19.816
+    6   tx     (7,8)      7       37.013        37.08
+found pair (tx=7, rx=6); exhaustive pair (tx=7, rx=6), bound gain 37.08
+policy match-exhaustive: success
+policy align-any-mpc: success
+policy align-strongest: success
+"""
+PINNED_SEARCH_CSV = """\
+stage,side,candidate_1,candidate_2,winner,y_power,noiseless_gain
+1,rx,1,2,2,1.6718027755285219,1.6455341073516465
+2,rx,3,4,3,4.703040079061032,4.690486064555018
+3,rx,5,6,6,6.577386922660682,6.558201778728516
+4,tx,1,2,2,8.626461977362,8.627489049393544
+5,tx,3,4,4,19.782098579019383,19.815888672909367
+6,tx,7,8,7,37.0130395008119,37.080490254630526
+"""
+
+
 class TestCodebookCommand:
     def test_generate_and_export(self, tmp_path, capsys):
         out = tmp_path / "cb.txt"
@@ -61,6 +87,16 @@ class TestSearchCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "stage,side,candidate_1,candidate_2,winner,y_power,noiseless_gain"
         assert len(lines) == 1 + 8
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = run_cli(
+            "search", "--n", "8", "--channel", "los", "--methods", "bmw-ss",
+            "--seed", "7", "--out", str(out),
+        )
+        assert code == 0
+        assert capsys.readouterr().out == PINNED_SEARCH_STDOUT + f"wrote {out}\n"
+        assert out.read_text() == PINNED_SEARCH_CSV
 
     def test_requires_single_method(self, capsys):
         assert run_cli("search", "--n", "16", "--methods", "bmw-ss,deact") == 2
@@ -146,6 +182,27 @@ class TestBadInput:
         assert peak < 10 * 2**20
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("codebook", "--method", "deact", "--n", "8192"), "array size"),
+            (("mc-success", "--n", "8192", "-r", "1"), "array size"),
+            (("mc-power", "--n", "8", "--realizations", str(10**13)), "realizations"),
+            (("mc-success", "--n", "8", "--realizations", str(10**13)), "realizations"),
+        ],
+        ids=["codebook-n", "mc-success-n", "mc-power-realizations", "mc-success-realizations"],
+    )
+    def test_oversized_run_exits_2_without_allocating(self, argv, key, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
 
 class TestConfigFile:
     def test_config_provides_defaults_flags_override(self, tmp_path):
@@ -175,6 +232,26 @@ class TestConfigFile:
         assert run_cli("mc-success", "--config", str(cfg), "--out", str(out)) == 0
         snr = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert snr == {"-10.0", "0.0", "10.0"}
+
+    def test_config_turns_boolean_flag_on(self, tmp_path, capsys):
+        cfg = tmp_path / "on.cfg"
+        for word in ("true", "Yes", "on", "1"):
+            cfg.write_text(f"validate = {word}\n")
+            assert run_cli("codebook", "--config", str(cfg), "--method", "deact", "--n", "16") == 0
+            assert "validation: PASS" in capsys.readouterr().out
+
+    def test_config_leaves_boolean_flag_off(self, tmp_path, capsys):
+        cfg = tmp_path / "off.cfg"
+        for word in ("false", "No", "off", "0"):
+            cfg.write_text(f"validate = {word}\n")
+            assert run_cli("codebook", "--config", str(cfg), "--method", "deact", "--n", "16") == 0
+            assert "validation" not in capsys.readouterr().out
+
+    def test_config_rejects_non_boolean_flag_value(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("validate = maybe\n")
+        assert run_cli("codebook", "--config", str(cfg), "--method", "deact", "--n", "16") == 2
+        assert "validate" in capsys.readouterr().err
 
     def test_malformed_config_line_errors(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

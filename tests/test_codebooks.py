@@ -19,7 +19,8 @@ from beamtrain import (
     validate_criterion1,
     validate_criterion2,
 )
-from beamtrain.arrays import steering_matrix
+from beamtrain.arrays import MAX_GRID_CELLS, steering_matrix
+from beamtrain.codebooks import check_array_size
 
 GRID_POINTS = 4096
 POINTS = angle_grid(GRID_POINTS)
@@ -317,6 +318,20 @@ class TestExport:
         with pytest.raises(ValueError, match="layers"):
             load_codebook(path)
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [("codeword 1", "layer, index and active count"), (None, "duplicate")],
+        ids=["short-record", "duplicate-record"],
+    )
+    def test_rejects_malformed_record(self, tmp_path, extra, match):
+        path = tmp_path / "cb.txt"
+        export_codebook(generate_deact(4), path)
+        lines = path.read_text().splitlines()
+        lines.append(lines[-1] if extra is None else extra)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_codebook(path)
+
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     @pytest.mark.parametrize("n_layers", [1, 3, 4])
     def test_codebook_needs_log2_n_plus_one_layers(self, method, n_layers):
@@ -327,6 +342,13 @@ class TestExport:
     def test_codebook_needs_power_of_two_n(self):
         with pytest.raises(ValueError, match="power of two"):
             Codebook(n=12, method="deact", layers=generate_deact(16).layers)
+
+    def test_array_size_cap_boundary(self):
+        # 4096 is the largest N whose (2N-1) x N codebook fits the cell budget.
+        assert (2 * 4096 - 1) * 4096 <= MAX_GRID_CELLS < (2 * 8192 - 1) * 8192
+        assert check_array_size(4096) == 12
+        with pytest.raises(ValueError, match="cells"):
+            check_array_size(8192)
 
     @pytest.mark.parametrize("key", ["n", "method", "depth"])
     def test_missing_header_line_names_key(self, tmp_path, key):

@@ -21,7 +21,6 @@ from beamtrain import (
     nearest_leaf,
     sample_channel,
     steering_vector,
-    trace_rows,
 )
 from beamtrain.search import TRACE_COLUMNS
 
@@ -69,19 +68,21 @@ class TestMeasure:
         w_t = steering_vector(8, -0.2)
         w_r = steering_vector(8, 0.3)
         pm = PowerModel.total(1.0, 0.0)
-        m = measure(w_t.weights, w_r.weights, ch, pm, np.random.default_rng(0))
+        y_power, noiseless_gain = measure(
+            w_t.weights, w_r.weights, ch, pm, np.random.default_rng(0)
+        )
         want = abs(ch.coupling(w_t.weights, w_r.weights)) ** 2
-        assert m.y_power == pytest.approx(want, rel=1e-12)
-        assert m.noiseless_gain == pytest.approx(want, rel=1e-12)
+        assert y_power == pytest.approx(want, rel=1e-12)
+        assert noiseless_gain == pytest.approx(want, rel=1e-12)
 
     def test_per_antenna_gain_includes_active_count(self):
         ch = unit_path_channel(8, 0.3, -0.2)
         w_t = steering_vector(8, -0.2)
         w_r = steering_vector(8, 0.3)
-        m = measure(
+        _, noiseless_gain = measure(
             w_t.weights, w_r.weights, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0)
         )
-        assert m.noiseless_gain == pytest.approx(
+        assert noiseless_gain == pytest.approx(
             8 * abs(ch.coupling(w_t.weights, w_r.weights)) ** 2, rel=1e-12
         )
 
@@ -94,7 +95,7 @@ class TestMeasure:
         w_t, w_r = steering_vector(4, 0.0), steering_vector(8, 0.0)
         rng = np.random.default_rng(1)
         draws = np.array(
-            [measure(w_t.weights, w_r.weights, ch, pm, rng).y_power for _ in range(100_000)]
+            [measure(w_t.weights, w_r.weights, ch, pm, rng)[0] for _ in range(100_000)]
         )
         # |y|^2 is exponential with mean n0, so the standard error is n0/sqrt(R).
         assert np.mean(draws) == pytest.approx(n0, abs=3 * n0 / np.sqrt(draws.size))
@@ -116,19 +117,18 @@ class TestHierarchicalSearch:
         cb = generate_codebook("bmw-ss", 64)
         ch = sample_channel(ChannelParams(64, 64, 3), np.random.default_rng(2))
         out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(3))
-        assert out.trace.n_stages == 12
-        assert out.trace.n_measurements == 24
-        assert [s.side for s in out.trace.steps] == ["rx"] * 6 + ["tx"] * 6
-        assert [s.stage for s in out.trace.steps] == list(range(1, 13))
-        for step in out.trace.steps:
-            assert step.winner in step.candidates
-            assert step.candidates[1] == step.candidates[0] + 1
+        assert len(out.trace) == 12
+        assert [s.side for s in out.trace] == ["rx"] * 6 + ["tx"] * 6
+        assert [s.stage for s in out.trace] == list(range(1, 13))
+        for row in out.trace:
+            assert row.winner in (row.candidate_1, row.candidate_2)
+            assert row.candidate_2 == row.candidate_1 + 1
 
     def test_zero_channel_still_completes(self):
         cb = generate_codebook("deact", 16)
         ch = Channel(16, 16, (), np.zeros((16, 16), dtype=complex))
         out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(4))
-        assert out.trace.n_stages == 8
+        assert len(out.trace) == 8
         assert 1 <= out.pair[0] <= 16 and 1 <= out.pair[1] <= 16
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
@@ -153,7 +153,7 @@ class TestHierarchicalSearch:
         cb_rx = generate_codebook("deact", 8)
         ch = sample_channel(ChannelParams(16, 8, 2), np.random.default_rng(7))
         out = hierarchical_search(cb_tx, cb_rx, ch, PowerModel.total(), np.random.default_rng(8))
-        assert out.trace.n_stages == 3 + 4
+        assert len(out.trace) == 3 + 4
         assert 1 <= out.pair[0] <= 16 and 1 <= out.pair[1] <= 8
 
 
@@ -180,16 +180,19 @@ class TestSearchProperties:
         pm = PowerModel.from_snr_db("total", snr_db)
         out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed + 1))
         depth_rx, depth_tx = n_rx.bit_length() - 1, n_tx.bit_length() - 1
-        steps = out.trace.steps
-        assert out.trace.n_stages == depth_rx + depth_tx
-        assert [s.side for s in steps] == ["rx"] * depth_rx + ["tx"] * depth_tx
-        for side, side_steps in (("rx", steps[:depth_rx]), ("tx", steps[depth_rx:])):
+        rows = out.trace
+        assert len(out.trace) == depth_rx + depth_tx
+        assert [s.side for s in rows] == ["rx"] * depth_rx + ["tx"] * depth_tx
+        for side, side_rows, offset in (
+            ("rx", rows[:depth_rx], 0),
+            ("tx", rows[depth_rx:], depth_rx),
+        ):
             parent = 1
-            for k, step in enumerate(side_steps, start=1):
-                assert step.layer == k
-                assert step.candidates == (2 * parent - 1, 2 * parent)
-                assert step.winner in step.candidates
-                parent = step.winner
+            for k, row in enumerate(side_rows, start=1):
+                assert row.stage - offset == k
+                assert (row.candidate_1, row.candidate_2) == (2 * parent - 1, 2 * parent)
+                assert row.winner in (row.candidate_1, row.candidate_2)
+                parent = row.winner
             assert out.pair[0 if side == "tx" else 1] == parent
 
     @settings(max_examples=30, deadline=None)
@@ -200,7 +203,7 @@ class TestSearchProperties:
         pm = PowerModel.total(1.0, 0.0)
         out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed))
         assert out.pair == (1, 1)
-        assert all(step.winner == step.candidates[0] for step in out.trace.steps)
+        assert all(row.winner == row.candidate_1 for row in out.trace)
 
     @settings(max_examples=60, deadline=None)
     @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, data=st.data())
@@ -306,7 +309,17 @@ class TestAdjudication:
         cb = generate_codebook("deact", 8)
         ch = sample_channel(ChannelParams(8, 8, 1), np.random.default_rng(50))
         out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(51))
-        rows = trace_rows(out)
-        assert len(rows) == out.trace.n_stages
+        rows = out.trace
+        assert len(rows) == 6
         assert len(TRACE_COLUMNS) == len(rows[0]) == 7
         assert rows[0][1] == "rx" and rows[-1][1] == "tx"
+
+    def test_trace_cells_are_python_scalars(self):
+        # The CSV writer formats floats with repr; a numpy scalar would
+        # change the bytes.
+        cb = generate_codebook("bmw-ss", 16)
+        ch = sample_channel(ChannelParams(16, 16, 2), np.random.default_rng(52))
+        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(53))
+        for row in out.trace:
+            assert row._fields == TRACE_COLUMNS
+            assert [type(cell) for cell in row] == [int, str, int, int, int, float, float]
