@@ -1,7 +1,6 @@
 """Hierarchical beam-training codebooks and search for half-wave ULAs."""
 
 from .arrays import (
-    Awv,
     angle_grid,
     beam_coverage,
     beam_gain,
@@ -9,7 +8,7 @@ from .arrays import (
     leaf_angles,
     random_awv,
     rotate,
-    steering_vector,
+    steering_weights,
     subarray_phase_objective,
 )
 from .channels import (

@@ -2,24 +2,22 @@
 
 Angles live in the cosine domain (Omega = cos of the physical angle), where
 the array response of an N-element ULA is periodic with period 2.  All
-coverage arithmetic therefore wraps on [-1, 1).
+coverage arithmetic therefore wraps on [-1, 1).  A weight vector is a plain
+1-D complex array; :func:`active_counts` checks that it is in the weight set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Awv",
     "active_counts",
     "angle_grid",
     "check_grid",
     "steering_weights",
-    "steering_vector",
     "steering_matrix",
     "leaf_angles",
     "beam_gain",
@@ -44,37 +42,8 @@ _AMPLITUDE_TOL = 1e-9
 DEFAULT_GRID_POINTS = 4096
 MAX_GRID_POINTS = 2**20
 MAX_GRID_CELLS = 2**26
-
-
-@dataclass(frozen=True, eq=False)
-class Awv:
-    """Antenna weight vector under the constant-amplitude-or-zero constraint.
-
-    Every entry is either exactly zero (antenna off) or has the common
-    amplitude ``nu = 1/sqrt(active_count)``, which makes the vector unit
-    power.  Instances are immutable and safe to share between threads.
-    """
-
-    weights: np.ndarray
-    active_count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.complex128)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-D sequence")
-        n_active = int(active_counts(w))
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "active_count", n_active)
-
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
-
-    @property
-    def nu(self) -> float:
-        """Common amplitude of the active entries."""
-        return 1.0 / math.sqrt(self.active_count)
+# A channel's path count: each path costs one Mpc and one rank-one matrix term.
+MAX_PATHS = 4096
 
 
 def active_counts(weights) -> np.ndarray:
@@ -108,11 +77,6 @@ def steering_weights(n: int, angles) -> np.ndarray:
     return np.exp(1j * np.pi * k * ang) / math.sqrt(n)
 
 
-def steering_vector(n: int, omega: float) -> Awv:
-    """Unit-power steering vector of an n-element half-wave ULA along omega."""
-    return Awv(steering_weights(n, omega))
-
-
 def leaf_angles(n: int) -> np.ndarray:
     """The n evenly sampled steering angles -1 + (2i - 1)/n, i = 1..n.
 
@@ -136,10 +100,10 @@ def steering_matrix(n: int) -> np.ndarray:
 def beam_gain(w, omega):
     """Beam gain A(w, omega) = sum_k [w]_k exp(-j*pi*(k-1)*omega).
 
-    ``w`` may be an Awv or a plain complex sequence; ``omega`` may be a
-    scalar or an ndarray (the gain is evaluated pointwise).
+    ``w`` is a 1-D complex sequence; ``omega`` may be a scalar or an ndarray
+    (the gain is evaluated pointwise).
     """
-    weights = w.weights if isinstance(w, Awv) else np.asarray(w, dtype=np.complex128)
+    weights = np.asarray(w, dtype=np.complex128)
     om = np.asarray(omega, dtype=np.float64)
     phases = np.exp(-1j * np.pi * om[..., np.newaxis] * np.arange(weights.size))
     out = phases @ weights
@@ -159,15 +123,19 @@ def coverage_factor_rho(n: int) -> float:
     return float(np.abs(np.exp(1j * np.pi * np.arange(n) / n).sum()) / n)
 
 
-def rotate(w: Awv, psi: float) -> Awv:
+def rotate(w, psi: float) -> np.ndarray:
     """Rotate the beam of ``w`` by psi in the cosine-angle domain.
 
     Entry k of the result is ``[w]_k * exp(j*pi*(k-1)*psi)``; zero entries
     stay zero and unit power is preserved, so the coverage of the result is
-    the coverage of ``w`` translated by psi (mod 2).
+    the coverage of ``w`` translated by psi (mod 2).  Raises ``ValueError``
+    unless ``w`` is 1-D and passes :func:`active_counts`.
     """
-    phases = np.exp(1j * np.pi * np.arange(w.size) * psi)
-    return Awv(w.weights * phases)
+    w = np.asarray(w, dtype=np.complex128)
+    if w.ndim != 1:
+        raise ValueError("weights must be a 1-D array")
+    active_counts(w)
+    return w * np.exp(1j * np.pi * np.arange(w.size) * psi)
 
 
 def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:
@@ -186,7 +154,7 @@ def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:
     return complex(np.conj(s) + np.exp(1j * delta_theta) * s)
 
 
-def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -> Awv:
+def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -> np.ndarray:
     """Random member of the weight set: random on/off pattern, uniform phases.
 
     At least one antenna is always active.
@@ -197,8 +165,7 @@ def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -
     if not active.any():
         active[int(rng.integers(n))] = True
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-    w = np.where(active, phases / math.sqrt(int(active.sum())), 0.0)
-    return Awv(w)
+    return np.where(active, phases / math.sqrt(int(active.sum())), 0.0)
 
 
 def check_grid(grid_points: int, n: int = 1) -> None:
@@ -254,7 +221,8 @@ def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
     return gains > rho * gains.max(axis=-1, keepdims=True)
 
 
-def beam_coverage(w: Awv, rho: float, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Numerical beam coverage: the mask over ``angle_grid(grid_points)`` of
-    points with |A(w, omega)| > rho * peak |A|, the peak taken over the grid."""
-    return coverage_mask(coverage_gains(w.weights, grid_points)[0], rho)
+def beam_coverage(w, rho: float, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Numerical beam coverage of the 1-D weight vector ``w``: the mask over
+    ``angle_grid(grid_points)`` of points with |A(w, omega)| > rho * peak |A|,
+    the peak taken over the grid."""
+    return coverage_mask(coverage_gains(w, grid_points)[0], rho)

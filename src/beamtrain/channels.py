@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import steering_weights
+from .arrays import MAX_PATHS, steering_weights
 
 __all__ = [
     "ChannelKind",
@@ -71,7 +71,6 @@ class ChannelParams:
 
     ``eta_db`` is the power gap, in dB, between the dominant path and the
     expected power of each diffuse path; it only matters for the LOS kind.
-    ``seed`` feeds :func:`sample_channel` when no generator is supplied.
     """
 
     n_tx: int
@@ -79,14 +78,13 @@ class ChannelParams:
     n_paths: int = 3
     kind: ChannelKind = ChannelKind.NLOS
     eta_db: float = 15.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChannelKind(self.kind))
         if self.n_tx < 1 or self.n_rx < 1:
             raise ValueError("array sizes must be positive")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must lie between 1 and {MAX_PATHS}, got {self.n_paths}")
         if not 0.0 < db_to_linear(self.eta_db) < math.inf:
             raise ValueError(
                 f"eta_db must be finite, with 10**(eta_db/10) a positive float; got {self.eta_db}"
@@ -123,7 +121,7 @@ def assemble_matrix(n_tx: int, n_rx: int, mpcs) -> np.ndarray:
     return math.sqrt(n_tx * n_rx) * h
 
 
-def sample_channel(params: ChannelParams, rng: np.random.Generator | None = None) -> Channel:
+def sample_channel(params: ChannelParams, rng: np.random.Generator) -> Channel:
     """Draw one channel realization.
 
     Physical angles on both sides are uniform on [0, 2*pi) and enter through
@@ -136,8 +134,6 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator | None = None
     (receive-side angles, transmit-side angles, coefficients) is part of the
     reproducibility contract.
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     n_paths = params.n_paths
     omega = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
     psi = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))

@@ -24,10 +24,12 @@ from .codebooks import (
     validate_criterion2,
 )
 from .experiments import (
+    _DEFAULT_SNR_GRID,
     DEFAULT_PATTERN_CODEWORDS,
     POLICY_ORDER,
     ExperimentConfig,
     ExperimentResult,
+    _codebook_pairs,
     draw_realization,
     run_beam_patterns,
     run_received_power,
@@ -127,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_suc)
     _add_mc_options(p_suc)
     p_suc.add_argument("--channel", choices=("los", "nlos"), default="nlos")
-    p_suc.add_argument("--snr-grid", type=_csv_floats,
-                       default=tuple(float(x) for x in range(0, 45, 5)),
+    p_suc.add_argument("--snr-grid", type=_csv_floats, default=_DEFAULT_SNR_GRID,
                        help="comma-separated SNR points in dB")
 
     return parser
@@ -229,8 +230,7 @@ def _cmd_search(args) -> int:
         raise ValueError("the search demo takes exactly one --methods entry")
     pm = cfg.power_model(args.snr_db)
     channel, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
-    cb_tx = generate_codebook(cfg.methods[0], cfg.n_tx)
-    cb_rx = cb_tx if cfg.n_rx == cfg.n_tx else generate_codebook(cfg.methods[0], cfg.n_rx)
+    [(cb_tx, cb_rx)] = _codebook_pairs(cfg)
     outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, np.random.default_rng(noise_ss))
     print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
           f"{'y_power':>12} {'gain':>12}")

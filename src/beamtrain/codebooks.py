@@ -144,7 +144,7 @@ def generate_bmw_ss(n: int) -> Codebook:
 
     Layer k = log2(N) - ell is built from M = 2^floor((ell+1)/2) sub-arrays of
     N_S = N/M antennas.  The first N_A sub-arrays (N_A = M/2 for odd ell, M for
-    even ell) carry ``exp(j*theta_m) * steering_vector(N_S, -1 + (2m-1)/N_S)``
+    even ell) carry ``exp(j*theta_m) * steering_weights(N_S, -1 + (2m-1)/N_S)``
     with ``theta_m = -m*pi*(N_S-1)/N_S``; the rest are zero.  The whole vector
     is rescaled to unit power and the remaining codewords of the layer are
     beam rotations of the first.  Active antenna counts are N or N/2.

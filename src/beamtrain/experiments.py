@@ -90,6 +90,7 @@ class ExperimentConfig:
     realizations: int = 1000
     seed: int = 1
     jobs: int = 1
+    n_steps: int = field(init=False, repr=False)  # search stages, log2(N_tx * N_rx)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(CodebookMethod(m).value for m in self.methods))
@@ -97,7 +98,7 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
         if self.n_tx < 2 or self.n_rx < 2:
             raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
-        n_steps = check_array_size(self.n_tx) + check_array_size(self.n_rx)
+        object.__setattr__(self, "n_steps", check_array_size(self.n_tx) + check_array_size(self.n_rx))
         if not self.methods:
             raise ValueError("need at least one codebook method")
         if self.channel not in ("los", "nlos", "both"):
@@ -113,7 +114,7 @@ class ExperimentConfig:
         # The larger of the arrays a run fills up front: success flags per SNR
         # point and policy, or winner powers per channel kind and step.
         cells = self.realizations * len(self.methods) * max(
-            len(self.snr_db) * len(POLICY_ORDER), len(self.kinds) * n_steps
+            len(self.snr_db) * len(POLICY_ORDER), len(self.kinds) * self.n_steps
         )
         if cells > MAX_GRID_CELLS:
             raise ValueError(
@@ -141,7 +142,6 @@ class ExperimentConfig:
             n_paths=self.n_paths,
             kind=kind,
             eta_db=self.eta_db,
-            seed=self.seed,
         )
 
 
@@ -233,8 +233,7 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     kinds = cfg.kinds
     pairs = _codebook_pairs(cfg)
     pm = cfg.power_model(cfg.snr_db[0])
-    n_steps = pairs[0][0].depth + pairs[0][1].depth
-    winners = np.empty((stop - start, len(kinds), len(pairs), n_steps))
+    winners = np.empty((stop - start, len(kinds), len(pairs), cfg.n_steps))
     bounds = np.empty((stop - start, len(kinds)))
     for i, r in enumerate(range(start, stop)):
         for ki, kind in enumerate(kinds):
@@ -260,8 +259,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("received-power runs use exactly one SNR point")
     t0 = time.monotonic()
     kinds = cfg.kinds
-    n_steps = int(math.log2(cfg.n_rx) + math.log2(cfg.n_tx))
-    winners = np.empty((cfg.realizations, len(kinds), len(cfg.methods), n_steps))
+    winners = np.empty((cfg.realizations, len(kinds), len(cfg.methods), cfg.n_steps))
     bounds = np.empty((cfg.realizations, len(kinds)))
     _run_chunked(_power_chunk, cfg, (winners, bounds))
 
@@ -279,7 +277,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
             stderr_db = np.array(
                 [
                     (10.0 / math.log(10.0)) * _stderr(samples[:, s]) / mean_w[s]
-                    for s in range(n_steps)
+                    for s in range(cfg.n_steps)
                 ]
             )
             stats["power"][(kind.value, method)] = {
@@ -287,7 +285,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
                 "mean_power_db": mean_db,
                 "stderr_db": stderr_db,
             }
-            for s in range(n_steps):
+            for s in range(cfg.n_steps):
                 rows.append(
                     (
                         s + 1,

@@ -13,7 +13,6 @@ import numpy as np
 from conftest import ACCEPTANCE_RESULTS
 
 from beamtrain import (
-    Awv,
     ChannelParams,
     ExperimentConfig,
     PowerModel,
@@ -120,9 +119,8 @@ def test_criterion_04_structural_identities():
                 problems.append(f"bmw-ss active counts at N={n} layer {k}")
         for cb in (cb_d, cb_b):
             for k, layer in enumerate(cb.layers):
-                first = Awv(layer[0])
                 for i, row in enumerate(layer):
-                    want = rotate(first, 2 * i / 2**k).weights
+                    want = rotate(layer[0], 2 * i / 2**k)
                     if np.max(np.abs(row - want)) > 1e-12:
                         problems.append(f"{cb.method.value} rotation at N={n} layer {k}")
                         break

@@ -17,18 +17,19 @@ from beamtrain import (
     exhaustive_search,
     load_channel,
     sample_channel,
-    steering_vector,
+    steering_weights,
 )
+from beamtrain.arrays import MAX_PATHS
 
 
 def literal_pair_scan(ch):
     """Double loop over every pair of last-layer steering vectors."""
     best = 0.0
     for i in range(ch.n_tx):
-        w_t = steering_vector(ch.n_tx, -1 + (2 * (i + 1) - 1) / ch.n_tx)
+        w_t = steering_weights(ch.n_tx, -1 + (2 * (i + 1) - 1) / ch.n_tx)
         for j in range(ch.n_rx):
-            w_r = steering_vector(ch.n_rx, -1 + (2 * (j + 1) - 1) / ch.n_rx)
-            best = max(best, abs(ch.coupling(w_t.weights, w_r.weights)) ** 2)
+            w_r = steering_weights(ch.n_rx, -1 + (2 * (j + 1) - 1) / ch.n_rx)
+            best = max(best, abs(ch.coupling(w_t, w_r)) ** 2)
     return best
 
 
@@ -40,6 +41,12 @@ class TestSampling:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
             ChannelParams(n_tx=4, n_rx=4, n_paths=0)
+
+    def test_path_count_cap_boundary(self):
+        # MAX_PATHS is the most accepted; checked before any path is drawn.
+        assert ChannelParams(4, 4, MAX_PATHS).n_paths == MAX_PATHS
+        with pytest.raises(ValueError, match="n_paths"):
+            ChannelParams(4, 4, MAX_PATHS + 1)
 
     def test_matrix_matches_path_sum(self):
         params = ChannelParams(n_tx=16, n_rx=8, n_paths=4, kind=ChannelKind.NLOS)
@@ -53,8 +60,9 @@ class TestSampling:
             assert abs(m.omega) <= 1.0 and abs(m.psi) <= 1.0
 
     def test_deterministic_given_seed(self):
-        params = ChannelParams(8, 8, 3, seed=42)
-        a, b = sample_channel(params), sample_channel(params)
+        params = ChannelParams(8, 8, 3)
+        a = sample_channel(params, np.random.default_rng(42))
+        b = sample_channel(params, np.random.default_rng(42))
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_single_path_power_normalization(self):
@@ -106,10 +114,10 @@ class TestMatrix:
         )
         np.testing.assert_allclose(ch.matrix, np.ones((4, 4)), atol=1e-14)
 
-    def test_single_path_is_outer_product_of_steering_vectors(self):
+    def test_single_path_is_outer_product_of_steering_weights(self):
         mpc = Mpc(coeff=0.3 - 0.4j, omega=0.37, psi=-0.81)
-        a_rx = steering_vector(16, mpc.omega).weights
-        a_tx = steering_vector(8, mpc.psi).weights
+        a_rx = steering_weights(16, mpc.omega)
+        a_tx = steering_weights(8, mpc.psi)
         want = math.sqrt(8 * 16) * (mpc.coeff * np.outer(a_rx, a_tx.conj()))
         assert np.array_equal(assemble_matrix(8, 16, [mpc]), want)
 

@@ -189,8 +189,15 @@ class TestBadInput:
             (("mc-success", "--n", "8192", "-r", "1"), "array size"),
             (("mc-power", "--n", "8", "--realizations", str(10**13)), "realizations"),
             (("mc-success", "--n", "8", "--realizations", str(10**13)), "realizations"),
+            (("search", "--n", "2", "--methods", "deact", "--paths", "200000000"), "n_paths"),
         ],
-        ids=["codebook-n", "mc-success-n", "mc-power-realizations", "mc-success-realizations"],
+        ids=[
+            "codebook-n",
+            "mc-success-n",
+            "mc-power-realizations",
+            "mc-success-realizations",
+            "search-paths",
+        ],
     )
     def test_oversized_run_exits_2_without_allocating(self, argv, key, capsys):
         tracemalloc.start()

@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beamtrain import (
-    Awv,
     Codebook,
     angle_grid,
     beam_gain,
@@ -15,7 +14,7 @@ from beamtrain import (
     generate_deact,
     load_codebook,
     rotate,
-    steering_vector,
+    steering_weights,
     validate_criterion1,
     validate_criterion2,
 )
@@ -91,8 +90,8 @@ class TestDeact:
     def test_last_layer_is_steering(self):
         cb = generate_deact(8)
         for i in range(1, 9):
-            want = steering_vector(8, -1 + (2 * i - 1) / 8)
-            np.testing.assert_allclose(cb.layers[3][i - 1], want.weights, atol=1e-14)
+            want = steering_weights(8, -1 + (2 * i - 1) / 8)
+            np.testing.assert_allclose(cb.layers[3][i - 1], want, atol=1e-14)
 
     def test_active_counts_double_per_layer(self):
         cb = generate_deact(64)
@@ -159,10 +158,9 @@ class TestSharedStructure:
     def test_layers_are_rotations_of_first(self, method):
         cb = generate_codebook(method, 32)
         for k, layer in enumerate(cb.layers):
-            first = Awv(layer[0])
             for i, row in enumerate(layer):
-                want = rotate(first, 2 * i / 2**k)
-                np.testing.assert_allclose(row, want.weights, atol=1e-12)
+                want = rotate(layer[0], 2 * i / 2**k)
+                np.testing.assert_allclose(row, want, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(["deact", "bmw-ss"]), log2_n=st.integers(1, 9), data=st.data())
@@ -171,7 +169,7 @@ class TestSharedStructure:
         k = data.draw(st.integers(0, cb.depth - 1))
         layer = cb.layers[k]
         for i, row in enumerate(layer):
-            assert row.tobytes() == rotate(Awv(layer[0]), 2 * i / 2**k).weights.tobytes()
+            assert row.tobytes() == rotate(layer[0], 2 * i / 2**k).tobytes()
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     def test_layers_are_read_only_c_arrays(self, method):

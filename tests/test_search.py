@@ -20,7 +20,7 @@ from beamtrain import (
     measure,
     nearest_leaf,
     sample_channel,
-    steering_vector,
+    steering_weights,
 )
 from beamtrain.search import TRACE_COLUMNS
 
@@ -65,25 +65,25 @@ class TestPowerModel:
 class TestMeasure:
     def test_noiseless_total_power(self):
         ch = unit_path_channel(8, 0.3, -0.2)
-        w_t = steering_vector(8, -0.2)
-        w_r = steering_vector(8, 0.3)
+        w_t = steering_weights(8, -0.2)
+        w_r = steering_weights(8, 0.3)
         pm = PowerModel.total(1.0, 0.0)
         y_power, noiseless_gain = measure(
-            w_t.weights, w_r.weights, ch, pm, np.random.default_rng(0)
+            w_t, w_r, ch, pm, np.random.default_rng(0)
         )
-        want = abs(ch.coupling(w_t.weights, w_r.weights)) ** 2
+        want = abs(ch.coupling(w_t, w_r)) ** 2
         assert y_power == pytest.approx(want, rel=1e-12)
         assert noiseless_gain == pytest.approx(want, rel=1e-12)
 
     def test_per_antenna_gain_includes_active_count(self):
         ch = unit_path_channel(8, 0.3, -0.2)
-        w_t = steering_vector(8, -0.2)
-        w_r = steering_vector(8, 0.3)
+        w_t = steering_weights(8, -0.2)
+        w_r = steering_weights(8, 0.3)
         _, noiseless_gain = measure(
-            w_t.weights, w_r.weights, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0)
+            w_t, w_r, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0)
         )
         assert noiseless_gain == pytest.approx(
-            8 * abs(ch.coupling(w_t.weights, w_r.weights)) ** 2, rel=1e-12
+            8 * abs(ch.coupling(w_t, w_r)) ** 2, rel=1e-12
         )
 
     def test_zero_channel_noise_expectation(self):
@@ -92,10 +92,10 @@ class TestMeasure:
         n0 = 2.5e-3
         ch = Channel(4, 8, (), np.zeros((8, 4), dtype=complex))
         pm = PowerModel.total(1.0, n0)
-        w_t, w_r = steering_vector(4, 0.0), steering_vector(8, 0.0)
+        w_t, w_r = steering_weights(4, 0.0), steering_weights(8, 0.0)
         rng = np.random.default_rng(1)
         draws = np.array(
-            [measure(w_t.weights, w_r.weights, ch, pm, rng)[0] for _ in range(100_000)]
+            [measure(w_t, w_r, ch, pm, rng)[0] for _ in range(100_000)]
         )
         # |y|^2 is exponential with mean n0, so the standard error is n0/sqrt(R).
         assert np.mean(draws) == pytest.approx(n0, abs=3 * n0 / np.sqrt(draws.size))
@@ -104,8 +104,8 @@ class TestMeasure:
         ch = unit_path_channel(8, 0.0, 0.0)
         with pytest.raises(ValueError):
             measure(
-                steering_vector(4, 0.0).weights,
-                steering_vector(8, 0.0).weights,
+                steering_weights(4, 0.0),
+                steering_weights(8, 0.0),
                 ch,
                 PowerModel.total(),
                 np.random.default_rng(0),
@@ -233,10 +233,10 @@ class TestExhaustiveSearch:
             ch = sample_channel(params, np.random.default_rng(seed))
             gains = np.empty((16, 16))
             for i in range(16):
-                w_t = steering_vector(16, -1 + (2 * (i + 1) - 1) / 16)
+                w_t = steering_weights(16, -1 + (2 * (i + 1) - 1) / 16)
                 for j in range(16):
-                    w_r = steering_vector(16, -1 + (2 * (j + 1) - 1) / 16)
-                    gains[i, j] = abs(ch.coupling(w_t.weights, w_r.weights)) ** 2
+                    w_r = steering_weights(16, -1 + (2 * (j + 1) - 1) / 16)
+                    gains[i, j] = abs(ch.coupling(w_t, w_r)) ** 2
             tx, rx, gain = exhaustive_search(ch, pm)
             assert gain == pytest.approx(gains.max(), rel=1e-10)
             assert gains[tx - 1, rx - 1] == pytest.approx(gains.max(), rel=1e-10)
