@@ -17,6 +17,8 @@ from .channels import (
     ChannelParams,
     Mpc,
     assemble_matrix,
+    channel_from_paths,
+    draw_paths,
     dump_channel,
     load_channel,
     sample_channel,

@@ -42,6 +42,11 @@ _AMPLITUDE_TOL = 1e-9
 DEFAULT_GRID_POINTS = 4096
 MAX_GRID_POINTS = 2**20
 MAX_GRID_CELLS = 2**26
+# A Monte-Carlo block: its realizations' noise draws and path responses, in
+# float64 cells (2 MiB); a block holds one realization at least.  At 2**18 an
+# N=256 received-power run peaks at its codebooks and oracle, not its noise;
+# 2**20 raised that peak by 1.5 MB.
+MAX_BLOCK_CELLS = 2**18
 # A channel's path count: each path costs one Mpc and one rank-one matrix term.
 MAX_PATHS = 4096
 

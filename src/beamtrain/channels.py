@@ -25,6 +25,8 @@ __all__ = [
     "Mpc",
     "ChannelParams",
     "Channel",
+    "draw_paths",
+    "channel_from_paths",
     "sample_channel",
     "assemble_matrix",
     "dump_channel",
@@ -121,8 +123,10 @@ def assemble_matrix(n_tx: int, n_rx: int, mpcs) -> np.ndarray:
     return math.sqrt(n_tx * n_rx) * h
 
 
-def sample_channel(params: ChannelParams, rng: np.random.Generator) -> Channel:
-    """Draw one channel realization.
+def draw_paths(
+    params: ChannelParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one realization's paths: ``(coeff, omega, psi)``, each of length L.
 
     Physical angles on both sides are uniform on [0, 2*pi) and enter through
     their cosines.  For the NLOS kind every coefficient is circularly
@@ -151,16 +155,21 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator) -> Channel:
             coeff[1:] = scale * (
                 rng.standard_normal(n_diffuse) + 1j * rng.standard_normal(n_diffuse)
             )
+    return coeff, omega, psi
+
+
+def channel_from_paths(n_tx: int, n_rx: int, coeff, omega, psi) -> Channel:
+    """The channel of the paths ``(coeff, omega, psi)``, matrix included."""
     mpcs = tuple(
         Mpc(coeff=complex(c), omega=float(o), psi=float(p))
         for c, o, p in zip(coeff, omega, psi)
     )
-    return Channel(
-        n_tx=params.n_tx,
-        n_rx=params.n_rx,
-        mpcs=mpcs,
-        matrix=assemble_matrix(params.n_tx, params.n_rx, mpcs),
-    )
+    return Channel(n_tx=n_tx, n_rx=n_rx, mpcs=mpcs, matrix=assemble_matrix(n_tx, n_rx, mpcs))
+
+
+def sample_channel(params: ChannelParams, rng: np.random.Generator) -> Channel:
+    """Draw one channel realization: :func:`draw_paths`, then its matrix."""
+    return channel_from_paths(params.n_tx, params.n_rx, *draw_paths(params, rng))
 
 
 def dump_channel(channel: Channel, path) -> None:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import DEFAULT_GRID_POINTS
+from .channels import channel_from_paths
 from .codebooks import (
     export_codebook,
     generate_codebook,
@@ -229,7 +230,8 @@ def _cmd_search(args) -> int:
     if len(cfg.methods) != 1:
         raise ValueError("the search demo takes exactly one --methods entry")
     pm = cfg.power_model(args.snr_db)
-    channel, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
+    paths, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
+    channel = channel_from_paths(cfg.n_tx, cfg.n_rx, *paths)
     [(cb_tx, cb_rx)] = _codebook_pairs(cfg)
     outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, np.random.default_rng(noise_ss))
     print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
@@ -299,9 +301,18 @@ def main(argv=None) -> int:
             print(f"beamtrain: config error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        # Checked before any work starts, so a long run cannot end unwritten.
+        print(f"beamtrain: cannot write {out}: not a file in an existing directory",
+              file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
+        print(f"beamtrain: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # such as a write that fails after the check above
         print(f"beamtrain: {exc}", file=sys.stderr)
         return 2
 

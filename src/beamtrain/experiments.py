@@ -6,6 +6,11 @@ the realization's coordinates, so results are a pure function of the
 configuration and seed, independent of worker count and execution order.
 Within one realization the competing codebook methods share the channel and
 the noise stream, which makes their searches directly comparable.
+
+Monte-Carlo runs walk their realizations in blocks, each searched in
+lockstep by :func:`~beamtrain.search.lockstep_search`; a block holds at most
+``MAX_BLOCK_CELLS`` float64 cells of noise and path responses, and results do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -19,16 +24,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import DEFAULT_GRID_POINTS, MAX_GRID_CELLS, angle_grid, beam_gain, check_grid
-from .channels import Channel, ChannelKind, ChannelParams, sample_channel
+from .arrays import (
+    DEFAULT_GRID_POINTS,
+    MAX_BLOCK_CELLS,
+    MAX_GRID_CELLS,
+    angle_grid,
+    beam_gain,
+    check_grid,
+)
+from .channels import ChannelKind, ChannelParams, draw_paths
 from .codebooks import Codebook, CodebookMethod, check_array_size, generate_codebook
 from .search import (
     AdjudicationPolicy,
     PowerMode,
     PowerModel,
-    adjudicate,
-    exhaustive_search,
-    hierarchical_search,
+    PathBlock,
+    lockstep_adjudicate,
+    lockstep_exhaustive,
+    lockstep_search,
 )
 
 __all__ = [
@@ -111,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("need at least one realization")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # The larger of the arrays a run fills up front: success flags per SNR
         # point and policy, or winner powers per channel kind and step.
         cells = self.realizations * len(self.methods) * max(
@@ -214,18 +229,61 @@ def _run_chunked(worker, cfg: ExperimentConfig, out_arrays: tuple[np.ndarray, ..
 
 def draw_realization(
     cfg: ExperimentConfig, kind: ChannelKind, entropy: tuple[int, ...]
-) -> tuple[Channel, np.random.SeedSequence]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.random.SeedSequence]:
     """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
-    two children; the first draws the channel, the second seeds every method's
-    search noise.  Returns the channel and the noise seed."""
+    two children; the first draws the paths (:func:`draw_paths`), the second
+    seeds the search noise, which every method reuses.  Returns the paths
+    ``(coeff, omega, psi)`` and the noise seed.
+
+    The noise is one ``standard_normal(4 * n_rx * n_steps)`` call from
+    ``default_rng(noise_seed)``, read as (stage, child, re/im, n_rx): the
+    draws that :func:`~beamtrain.search.measure` makes in turn."""
     channel_ss, noise_ss = np.random.SeedSequence(entropy=entropy).spawn(2)
-    channel = sample_channel(cfg.channel_params(kind), np.random.default_rng(channel_ss))
-    return channel, noise_ss
+    return draw_paths(cfg.channel_params(kind), np.random.default_rng(channel_ss)), noise_ss
+
+
+def _blocks(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple[int, int]]:
+    """Realizations start..stop-1 in blocks whose noise and path responses
+    fit MAX_BLOCK_CELLS float64 cells (one realization at least)."""
+    cells = 4 * cfg.n_rx * cfg.n_steps + 2 * cfg.n_paths * (cfg.n_tx + cfg.n_rx)
+    size = max(1, MAX_BLOCK_CELLS // cells)
+    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+
+
+def _draw_block(
+    cfg: ExperimentConfig, kind: ChannelKind, entropies
+) -> tuple[PathBlock, list[np.random.SeedSequence]]:
+    """The paths of a block's realizations and their noise seeds."""
+    drawn = [draw_realization(cfg, kind, entropy) for entropy in entropies]
+    coeff, omega, psi = (np.stack(column) for column in zip(*(p for p, _ in drawn)))
+    return PathBlock(coeff, omega, psi, cfg.n_tx, cfg.n_rx), [ss for _, ss in drawn]
+
+
+def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:
+    """Each seed's noise draws (see :func:`draw_realization`), (B, n_steps,
+    2, 2, n_rx)."""
+    noise = np.empty((len(seeds), cfg.n_steps, 2, 2, cfg.n_rx))
+    for row, noise_ss in zip(noise, seeds):
+        np.random.default_rng(noise_ss).standard_normal(out=row.reshape(-1))
+    return noise
 
 
 # ---------------------------------------------------------------------------
 # Received power per search step
 # ---------------------------------------------------------------------------
+
+
+def _power_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
+    """Exhaustive bounds (B,) and per-method winner powers (B, methods,
+    n_steps) of one block."""
+    block, seeds = _draw_block(cfg, kind, entropies)
+    _, bound_gains = lockstep_exhaustive(block, pm)
+    noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
+    winners = np.stack(
+        [lockstep_search(cb_tx, cb_rx, block, pm, noise).gains for cb_tx, cb_rx in pairs],
+        axis=1,
+    )
+    return pm.power * bound_gains, pm.power * winners
 
 
 def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
@@ -235,15 +293,11 @@ def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     pm = cfg.power_model(cfg.snr_db[0])
     winners = np.empty((stop - start, len(kinds), len(pairs), cfg.n_steps))
     bounds = np.empty((stop - start, len(kinds)))
-    for i, r in enumerate(range(start, stop)):
-        for ki, kind in enumerate(kinds):
-            channel, noise_ss = draw_realization(cfg, kind, (cfg.seed, _KIND_ID[kind], r))
-            _, _, bound_gain = exhaustive_search(channel, pm)
-            bounds[i, ki] = pm.power * bound_gain
-            for mi, (cb_tx, cb_rx) in enumerate(pairs):
-                rng = np.random.default_rng(noise_ss)  # same noise per method
-                outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, rng)
-                winners[i, ki, mi] = [pm.power * row.noiseless_gain for row in outcome.trace]
+    for ki, kind in enumerate(kinds):
+        for lo, hi in _blocks(cfg, start, stop):
+            entropies = [(cfg.seed, _KIND_ID[kind], r) for r in range(lo, hi)]
+            rows = slice(lo - start, hi - start)
+            bounds[rows, ki], winners[rows, ki] = _power_block(cfg, kind, pairs, pm, entropies)
     return winners, bounds
 
 
@@ -312,6 +366,19 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _success_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
+    """Success flags of one block, (B, methods, policies)."""
+    block, seeds = _draw_block(cfg, kind, entropies)
+    best_pairs, _ = lockstep_exhaustive(block, pm)
+    noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
+    flags = np.empty((len(entropies), len(pairs), len(POLICY_ORDER)), dtype=bool)
+    for mi, (cb_tx, cb_rx) in enumerate(pairs):
+        found = lockstep_search(cb_tx, cb_rx, block, pm, noise).pairs
+        for pi, policy in enumerate(POLICY_ORDER):
+            flags[:, mi, pi] = lockstep_adjudicate(found, block, policy, best_pairs)
+    return flags
+
+
 def _success_chunk(args) -> tuple[np.ndarray]:
     cfg, start, stop = args
     kind = cfg.kinds[0]
@@ -319,16 +386,11 @@ def _success_chunk(args) -> tuple[np.ndarray]:
     flags = np.empty(
         (stop - start, len(cfg.snr_db), len(pairs), len(POLICY_ORDER)), dtype=bool
     )
-    for i, r in enumerate(range(start, stop)):
-        for si, snr_db in enumerate(cfg.snr_db):
-            pm = cfg.power_model(snr_db)
-            channel, noise_ss = draw_realization(cfg, kind, (cfg.seed, _KIND_ID[kind], si, r))
-            best_pair = exhaustive_search(channel, pm)[:2]
-            for mi, (cb_tx, cb_rx) in enumerate(pairs):
-                rng = np.random.default_rng(noise_ss)
-                outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, rng)
-                for pi, policy in enumerate(POLICY_ORDER):
-                    flags[i, si, mi, pi] = adjudicate(outcome, channel, policy, best_pair)
+    for si, snr_db in enumerate(cfg.snr_db):
+        pm = cfg.power_model(snr_db)
+        for lo, hi in _blocks(cfg, start, stop):
+            entropies = [(cfg.seed, _KIND_ID[kind], si, r) for r in range(lo, hi)]
+            flags[lo - start : hi - start, si] = _success_block(cfg, kind, pairs, pm, entropies)
     return (flags,)
 
 

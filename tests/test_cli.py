@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
+from beamtrain import cli
 from beamtrain.cli import main
 from beamtrain.codebooks import load_codebook
+from beamtrain.experiments import ExperimentResult
 
 
 def run_cli(*args):
@@ -138,6 +140,10 @@ class TestBadInput:
         assert code == 2
         assert "eta_db" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert run_cli("mc-success", "--n", "8", "-r", "2", "--seed", "-1") == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_single_antenna_exits_2(self, capsys):
         assert run_cli("mc-power", "--n", "1", "--methods", "deact", "-r", "2") == 2
         assert "stage" in capsys.readouterr().err
@@ -209,6 +215,36 @@ class TestBadInput:
         assert code == 2
         assert key in capsys.readouterr().err
         assert peak < 10 * 2**20
+
+
+class TestUnwritableOut:
+    COMMANDS = {
+        "codebook": ("codebook", "--method", "deact", "--n", "8"),
+        "pattern": ("pattern", "--method", "deact", "--n", "8"),
+        "search": ("search", "--n", "8", "--methods", "deact"),
+        "mc-power": ("mc-power", "--n", "8", "-r", "2"),
+        "mc-success": ("mc-success", "--n", "8", "-r", "2", "--snr-grid", "10"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_exits_2_before_any_work(self, command, where, tmp_path, monkeypatch, capsys):
+        def no_work(args):
+            raise AssertionError("the command ran before its --out was checked")
+
+        monkeypatch.setitem(cli._HANDLERS, command, no_work)
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert run_cli(*self.COMMANDS[command], "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(self, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(ExperimentResult, "write_csv", refuse)
+        out = tmp_path / "x.csv"
+        assert run_cli(*self.COMMANDS["mc-success"], "--out", str(out)) == 2
+        assert "Permission denied" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,18 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamtrain import (
     ExperimentConfig,
-    exhaustive_search,
-    sample_channel,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
 )
 from beamtrain import experiments
+from beamtrain.channels import draw_paths
 from beamtrain.experiments import POWER_COLUMNS, SUCCESS_COLUMNS
+from beamtrain.search import lockstep_exhaustive
 
 
 class TestConfig:
@@ -159,17 +160,16 @@ class TestSuccessRate:
     def test_one_oracle_call_per_channel(self, monkeypatch):
         calls = {"channels": 0, "oracles": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted_paths(params, rng):
+            calls["channels"] += 1
+            return draw_paths(params, rng)
 
-            return wrapper
+        def counted_oracle(block, power_model):
+            calls["oracles"] += len(block.coeff)  # one evaluation per realization
+            return lockstep_exhaustive(block, power_model)
 
-        monkeypatch.setattr(experiments, "sample_channel", counted("channels", sample_channel))
-        monkeypatch.setattr(
-            experiments, "exhaustive_search", counted("oracles", exhaustive_search)
-        )
+        monkeypatch.setattr(experiments, "draw_paths", counted_paths)
+        monkeypatch.setattr(experiments, "lockstep_exhaustive", counted_oracle)
         cfg = ExperimentConfig(
             n_tx=8, n_rx=8, channel="nlos", snr_db=(0.0, 20.0), realizations=3, seed=2
         )
@@ -228,6 +228,38 @@ class TestDeterminism:
         run_success_rate(cfg).write_csv(p1)
         run_success_rate(cfg).write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBlocks:
+    def test_one_realization_per_block_changes_nothing(self, monkeypatch):
+        success = ExperimentConfig(
+            n_tx=16, n_rx=8, channel="los", n_paths=2, power_mode="per-antenna",
+            snr_db=(0.0, 20.0), realizations=7, seed=4,
+        )
+        power = ExperimentConfig(
+            n_tx=8, n_rx=16, channel="both", n_paths=3, snr_db=(20.0,), realizations=7, seed=4,
+        )
+        want = run_success_rate(success).rows, run_received_power(power).rows
+        assert len(experiments._blocks(power, 0, 7)) == 1
+        monkeypatch.setattr(experiments, "MAX_BLOCK_CELLS", 1)
+        assert experiments._blocks(power, 0, 7) == [(r, r + 1) for r in range(7)]
+        assert (run_success_rate(success).rows, run_received_power(power).rows) == want
+
+    def test_memory_stays_within_the_block_budget(self, monkeypatch):
+        budget = 2**13  # float64 cells, 64 KiB
+        monkeypatch.setattr(experiments, "MAX_BLOCK_CELLS", budget)
+        cfg = ExperimentConfig(
+            n_tx=16, n_rx=16, channel="nlos", snr_db=(10.0,), realizations=400, seed=1
+        )
+        whole_noise = cfg.realizations * 4 * cfg.n_rx * cfg.n_steps * 8  # bytes
+        assert whole_noise > 10 * budget * 8
+        tracemalloc.start()
+        try:
+            run_success_rate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_noise / 3
 
 
 class TestWorkerClamp:

@@ -13,6 +13,8 @@ from beamtrain import (
     PowerModel,
     adjudicate,
     assemble_matrix,
+    channel_from_paths,
+    draw_paths,
     exhaustive_search,
     generate_codebook,
     hierarchical_search,
@@ -22,7 +24,13 @@ from beamtrain import (
     sample_channel,
     steering_weights,
 )
-from beamtrain.search import TRACE_COLUMNS
+from beamtrain.search import (
+    TRACE_COLUMNS,
+    PathBlock,
+    lockstep_adjudicate,
+    lockstep_exhaustive,
+    lockstep_search,
+)
 
 
 def unit_path_channel(n, omega, psi, coeff=1.0):
@@ -216,6 +224,74 @@ class TestSearchProperties:
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
         out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(0))
         assert out.pair == exhaustive_search(ch, pm)[:2] == (i_tx + 1, i_rx + 1)
+
+
+class TestLockstepMatchesReference:
+    """The lockstep engine, realization by realization, against the scalar
+    search, oracle and adjudication on the same paths and noise draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_tx=search_sizes,
+        n_rx=search_sizes,
+        mode=st.sampled_from(list(PowerMode)),
+        kind=st.sampled_from(list(ChannelKind)),
+        n_paths=st.integers(1, 4),
+        noise_power=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+        blocks=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_reference(
+        self, n_tx, n_rx, mode, kind, n_paths, noise_power, blocks, seed
+    ):
+        params = ChannelParams(n_tx, n_rx, n_paths, kind)
+        pm = PowerModel(mode, 1.0, noise_power)
+        n_steps = n_tx.bit_length() + n_rx.bit_length() - 2
+        drawn = [draw_paths(params, np.random.default_rng((seed, i))) for i in range(blocks)]
+        block = PathBlock(*(np.stack(column) for column in zip(*drawn)), n_tx, n_rx)
+        noise = np.stack(
+            [
+                np.random.default_rng((seed, i, 1)).standard_normal(4 * n_rx * n_steps)
+                for i in range(blocks)
+            ]
+        ).reshape(blocks, n_steps, 2, 2, n_rx)
+        channels = [channel_from_paths(n_tx, n_rx, *paths) for paths in drawn]
+
+        best_pairs, best_gains = lockstep_exhaustive(block, pm)
+        for i, ch in enumerate(channels):
+            tx, rx, gain = exhaustive_search(ch, pm)
+            assert tuple(best_pairs[i]) == (tx, rx)
+            assert best_gains[i] == pytest.approx(gain, rel=1e-12)
+
+        for method in ("deact", "bmw-ss"):
+            cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
+            out = lockstep_search(cb_tx, cb_rx, block, pm, noise)
+            flags = {
+                p: lockstep_adjudicate(out.pairs, block, p, best_pairs) for p in AdjudicationPolicy
+            }
+            for i, ch in enumerate(channels):
+                ref = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng((seed, i, 1)))
+                assert tuple(out.pairs[i]) == ref.pair
+                assert out.winners[i].tolist() == [row.winner for row in ref.trace]
+                # Relative, except at a winner near a null, where both sides
+                # round at 1e-16 of the search's largest gain.
+                want = [row.noiseless_gain for row in ref.trace]
+                np.testing.assert_allclose(out.gains[i], want, rtol=1e-12, atol=1e-15 * max(want))
+                for policy, flag in flags.items():
+                    assert flag[i] == adjudicate(ref, ch, policy, tuple(best_pairs[i]))
+
+    def test_rejects_mismatched_noise(self):
+        cb = generate_codebook("deact", 8)
+        paths = draw_paths(ChannelParams(8, 8, 2), np.random.default_rng(0))
+        block = PathBlock(*(p[np.newaxis] for p in paths), 8, 8)
+        with pytest.raises(ValueError, match="noise"):
+            lockstep_search(cb, cb, block, PowerModel.total(), np.zeros((1, 6, 2, 2, 4)))
+
+    def test_nearest_leaf_takes_arrays(self):
+        angles = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3))
+        got = nearest_leaf(16, angles)
+        assert got.shape == (5, 3)
+        assert got.tolist() == [[nearest_leaf(16, a) for a in row] for row in angles]
 
 
 class TestExhaustiveSearch:
