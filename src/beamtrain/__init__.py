@@ -11,18 +11,7 @@ from .arrays import (
     steering_weights,
     subarray_phase_objective,
 )
-from .channels import (
-    Channel,
-    ChannelKind,
-    ChannelParams,
-    Mpc,
-    assemble_matrix,
-    channel_from_paths,
-    draw_paths,
-    dump_channel,
-    load_channel,
-    sample_channel,
-)
+from .channels import ChannelKind, ChannelParams, draw_paths
 from .codebooks import (
     Codebook,
     export_codebook,
@@ -39,15 +28,6 @@ from .experiments import (
     run_received_power,
     run_success_rate,
 )
-from .search import (
-    AdjudicationPolicy,
-    PowerMode,
-    PowerModel,
-    adjudicate,
-    exhaustive_search,
-    hierarchical_search,
-    measure,
-    nearest_leaf,
-)
+from .search import AdjudicationPolicy, PowerMode, PowerModel, nearest_leaf
 
 __version__ = "0.1.0"

@@ -47,7 +47,8 @@ MAX_GRID_CELLS = 2**26
 # N=256 received-power run peaks at its codebooks and oracle, not its noise;
 # 2**20 raised that peak by 1.5 MB.
 MAX_BLOCK_CELLS = 2**18
-# A channel's path count: each path costs one Mpc and one rank-one matrix term.
+# A channel's path count L: each path adds one steering response per array to
+# a PathBlock's (B, L, N) ``a_rx`` and ``a_tx``.
 MAX_PATHS = 4096
 
 

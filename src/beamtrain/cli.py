@@ -14,10 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .arrays import DEFAULT_GRID_POINTS
-from .channels import channel_from_paths
 from .codebooks import (
     export_codebook,
     generate_codebook,
@@ -31,12 +28,19 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     _codebook_pairs,
-    draw_realization,
+    _draw_block,
+    _noise_block,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
 )
-from .search import TRACE_COLUMNS, adjudicate, exhaustive_search, hierarchical_search
+from .search import (
+    TRACE_COLUMNS,
+    TraceRow,
+    lockstep_adjudicate,
+    lockstep_exhaustive,
+    lockstep_search,
+)
 
 __all__ = ["main", "entrypoint"]
 
@@ -230,23 +234,30 @@ def _cmd_search(args) -> int:
     if len(cfg.methods) != 1:
         raise ValueError("the search demo takes exactly one --methods entry")
     pm = cfg.power_model(args.snr_db)
-    paths, noise_ss = draw_realization(cfg, cfg.kinds[0], (cfg.seed,))
-    channel = channel_from_paths(cfg.n_tx, cfg.n_rx, *paths)
     [(cb_tx, cb_rx)] = _codebook_pairs(cfg)
-    outcome = hierarchical_search(cb_tx, cb_rx, channel, pm, np.random.default_rng(noise_ss))
+    # A Monte-Carlo block of one realization, whose entropy is the seed alone.
+    block, seeds = _draw_block(cfg, cfg.kinds[0], [(cfg.seed,)])
+    best_pairs, best_gains = lockstep_exhaustive(block, pm)
+    out = lockstep_search(cb_tx, cb_rx, block, pm, _noise_block(cfg, seeds))
+    trace = []
+    # tolist() makes Python scalars, which the CSV writer formats with repr.
+    stages = zip(out.winners[0].tolist(), out.y_power[0].tolist(), out.gains[0].tolist())
+    for stage, (win, y_pow, gain) in enumerate(stages, start=1):
+        lower = win - (win + 1) % 2  # the winner or its sibling: lower children are odd
+        side = "rx" if stage <= cb_rx.depth else "tx"
+        trace.append(TraceRow(stage, side, lower, lower + 1, win, y_pow, gain))
     print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
           f"{'y_power':>12} {'gain':>12}")
-    for stage, side, c1, c2, win, y_pow, gain in outcome.trace:
+    for stage, side, c1, c2, win, y_pow, gain in trace:
         print(f"{stage:>5} {side:>4} {f'({c1},{c2})':>9} {win:>6} {y_pow:>12.5g} {gain:>12.5g}")
-    tx_best, rx_best, best_gain = exhaustive_search(channel, pm)
-    print(f"found pair (tx={outcome.pair[0]}, rx={outcome.pair[1]}); "
-          f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gain:.5g}")
-    best_pair = (tx_best, rx_best)
+    (tx, rx), (tx_best, rx_best) = out.pairs[0].tolist(), best_pairs[0].tolist()
+    print(f"found pair (tx={tx}, rx={rx}); "
+          f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gains[0]:.5g}")
     for policy in POLICY_ORDER:
-        verdict = "success" if adjudicate(outcome, channel, policy, best_pair) else "failure"
-        print(f"policy {policy.value}: {verdict}")
+        success = lockstep_adjudicate(out.pairs, block, policy, best_pairs)[0]
+        print(f"policy {policy.value}: {'success' if success else 'failure'}")
     if args.out is not None:
-        ExperimentResult(columns=TRACE_COLUMNS, rows=list(outcome.trace)).write_csv(args.out)
+        ExperimentResult(columns=TRACE_COLUMNS, rows=trace).write_csv(args.out)
         print(f"wrote {args.out}")
     return 0
 

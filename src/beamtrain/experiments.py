@@ -104,6 +104,7 @@ class ExperimentConfig:
     seed: int = 1
     jobs: int = 1
     n_steps: int = field(init=False, repr=False)  # search stages, log2(N_tx * N_rx)
+    _params: dict = field(init=False, repr=False, compare=False)  # ChannelParams per kind
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(CodebookMethod(m).value for m in self.methods))
@@ -136,8 +137,11 @@ class ExperimentConfig:
                 f"{self.realizations} realizations make a result array of {cells} cells; "
                 f"at most {MAX_GRID_CELLS}"
             )
-        for kind in self.kinds:
-            self.channel_params(kind)  # checks the path count and eta_db up front
+        params = {
+            kind: ChannelParams(self.n_tx, self.n_rx, self.n_paths, kind, self.eta_db)
+            for kind in self.kinds
+        }  # checks the path count and eta_db up front
+        object.__setattr__(self, "_params", params)
         for snr_db in self.snr_db:
             self.power_model(snr_db)  # checks each noise floor is finite up front
 
@@ -151,13 +155,7 @@ class ExperimentConfig:
         return PowerModel.from_snr_db(self.power_mode, snr_db)
 
     def channel_params(self, kind: ChannelKind) -> ChannelParams:
-        return ChannelParams(
-            n_tx=self.n_tx,
-            n_rx=self.n_rx,
-            n_paths=self.n_paths,
-            kind=kind,
-            eta_db=self.eta_db,
-        )
+        return self._params[kind]
 
 
 @dataclass
@@ -236,8 +234,9 @@ def draw_realization(
     ``(coeff, omega, psi)`` and the noise seed.
 
     The noise is one ``standard_normal(4 * n_rx * n_steps)`` call from
-    ``default_rng(noise_seed)``, read as (stage, child, re/im, n_rx): the
-    draws that :func:`~beamtrain.search.measure` makes in turn."""
+    ``default_rng(noise_seed)``, read as (stage, child, re/im, n_rx): per
+    stage and candidate (lower child first), the real then the imaginary
+    parts of the receive noise."""
     channel_ss, noise_ss = np.random.SeedSequence(entropy=entropy).spawn(2)
     return draw_paths(cfg.channel_params(kind), np.random.default_rng(channel_ss)), noise_ss
 

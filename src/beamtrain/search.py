@@ -11,11 +11,10 @@ receive codebook first (transmitter pinned to its widest codeword), then the
 transmit codebook, testing the two children of the current parent at every
 stage and keeping the larger measured power.
 
-:func:`hierarchical_search`, :func:`measure`, :func:`exhaustive_search` and
-:func:`adjudicate` work on one :class:`Channel` and are the reference.  The
-``lockstep_*`` functions do the same for a block of B realizations at once,
-in the path domain: a :class:`PathBlock` holds the realizations' paths, and
-no channel matrix is built.
+One engine runs every search: the ``lockstep_*`` functions take a block of
+B realizations at once, in the path domain.  A :class:`PathBlock` holds the
+realizations' paths, and no channel matrix is built.  Monte-Carlo runs pass
+blocks of many realizations; the ``search`` demo passes a block of one.
 """
 
 from __future__ import annotations
@@ -28,19 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import leaf_angles, steering_matrix, steering_weights
-from .channels import Channel, db_to_linear
+from .channels import db_to_linear
 from .codebooks import Codebook
 
 __all__ = [
     "PowerMode",
     "PowerModel",
     "TraceRow",
-    "SearchOutcome",
     "AdjudicationPolicy",
-    "measure",
-    "hierarchical_search",
-    "exhaustive_search",
-    "adjudicate",
     "nearest_leaf",
     "PathBlock",
     "LockstepOutcome",
@@ -126,117 +120,10 @@ class TraceRow(NamedTuple):
 TRACE_COLUMNS = TraceRow._fields
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """The found (transmit leaf, receive leaf) pair, both 1-based, and the
-    trace, one row per stage."""
-
-    pair: tuple[int, int]
-    trace: tuple[TraceRow, ...]
-
-
 class AdjudicationPolicy(str, Enum):
     MATCH_EXHAUSTIVE = "match-exhaustive"
     ALIGN_ANY_MPC = "align-any-mpc"
     ALIGN_STRONGEST = "align-strongest"
-
-
-def _complex_noise(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    z = rng.standard_normal(2 * n)
-    return np.sqrt(variance / 2.0) * (z[:n] + 1j * z[n:])
-
-
-def measure(
-    w_tx: np.ndarray,
-    w_rx: np.ndarray,
-    channel: Channel,
-    power_model: PowerModel,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Send one unit training symbol through the channel and beamformers;
-    returns the measured |y|^2 and the noiseless power gain.
-
-    ``w_tx`` and ``w_rx`` are 1-D weight arrays, such as codebook layer rows.
-    Noise is drawn as a circularly symmetric complex Gaussian vector across
-    the receive antennas with per-entry variance ``noise_power`` and combined
-    by the receive weights.  The same number of variates is consumed even in
-    the noiseless case so runs at different noise levels stay stream-aligned.
-    """
-    if w_tx.shape != (channel.n_tx,) or w_rx.shape != (channel.n_rx,):
-        raise ValueError("beamformer sizes do not match the channel")
-    g = channel.coupling(w_tx, w_rx)
-    noise = w_rx.conj() @ _complex_noise(rng, channel.n_rx, power_model.noise_power)
-    n_tx_active = np.count_nonzero(w_tx)
-    y = np.sqrt(power_model.tx_power(n_tx_active)) * g + noise
-    return float(abs(y) ** 2), float(power_model.gain(abs(g) ** 2, n_tx_active))
-
-
-def _descend(
-    cb: Codebook,
-    fixed: np.ndarray,
-    side: str,
-    channel: Channel,
-    power_model: PowerModel,
-    rng: np.random.Generator,
-    trace: list[TraceRow],
-) -> int:
-    """Walk ``cb`` from its root against the ``fixed`` weights of the other
-    side, appending one row per stage to ``trace``; returns the winning
-    leaf's row (0-based)."""
-    parent = 0
-    for k in range(1, cb.depth + 1):
-        lo = 2 * parent
-        measured = []
-        for w in cb.layers[k][lo : lo + 2]:  # lower child first: fixes the noise order
-            w_tx, w_rx = (fixed, w) if side == "rx" else (w, fixed)
-            measured.append(measure(w_tx, w_rx, channel, power_model, rng))
-        (y_lo, g_lo), (y_hi, g_hi) = measured
-        # Ties go to the lower child index.
-        parent, y_win, g_win = (lo + 1, y_hi, g_hi) if y_hi > y_lo else (lo, y_lo, g_lo)
-        trace.append(TraceRow(len(trace) + 1, side, lo + 1, lo + 2, parent + 1, y_win, g_win))
-    return parent
-
-
-def hierarchical_search(
-    cb_tx: Codebook,
-    cb_rx: Codebook,
-    channel: Channel,
-    power_model: PowerModel,
-    rng: np.random.Generator,
-) -> SearchOutcome:
-    """Two-phase binary-tree search over the receive and transmit codebooks.
-
-    Phase one pins the transmitter to its widest codeword and walks the
-    receive tree from layer 1 down to the leaves, measuring both children of
-    the current parent once per stage.  Phase two pins the receiver to the
-    found leaf and walks the transmit tree the same way.  The trace holds
-    ``log2(n_rx) + log2(n_tx)`` stages (two measurements each).
-    """
-    if cb_tx.n != channel.n_tx or cb_rx.n != channel.n_rx:
-        raise ValueError("codebook sizes do not match the channel")
-    trace: list[TraceRow] = []
-    rx = _descend(cb_rx, cb_tx.layers[0][0], "rx", channel, power_model, rng, trace)
-    tx = _descend(cb_tx, cb_rx.layers[-1][rx], "tx", channel, power_model, rng, trace)
-    return SearchOutcome(pair=(tx + 1, rx + 1), trace=tuple(trace))
-
-
-def exhaustive_search(
-    channel: Channel, power_model: PowerModel
-) -> tuple[int, int, float]:
-    """Noiseless scan over every pair of last-layer steering vectors.
-
-    Returns ``(tx_index, rx_index, gain)`` with 1-based indices; ties are
-    broken toward the smallest (tx_index, rx_index) lexicographically.  The
-    pair does not depend on the power model; the gain follows it (last-layer
-    codewords keep every transmit antenna active).
-    """
-    s_rx = steering_matrix(channel.n_rx)
-    s_tx = steering_matrix(channel.n_tx)
-    coupling_sq = np.abs(s_rx.conj().T @ channel.matrix @ s_tx) ** 2
-    by_tx = coupling_sq.T  # row-major argmax scans tx first, then rx
-    tx_idx, rx_idx = divmod(int(np.argmax(by_tx)), channel.n_rx)
-    gain = power_model.gain(float(by_tx[tx_idx, rx_idx]), channel.n_tx)
-    return tx_idx + 1, rx_idx + 1, float(gain)
 
 
 def nearest_leaf(n: int, angle):
@@ -247,33 +134,6 @@ def nearest_leaf(n: int, angle):
     diff = np.abs(leaf_angles(n) - ang[..., np.newaxis])
     index = np.argmin(np.minimum(diff, 2.0 - diff), axis=-1) + 1
     return int(index) if ang.ndim == 0 else index
-
-
-def adjudicate(
-    outcome: SearchOutcome,
-    channel: Channel,
-    policy: AdjudicationPolicy | str,
-    exhaustive_pair: tuple[int, int],
-) -> bool:
-    """Decide whether a search outcome counts as a success.
-
-    ``match-exhaustive``: the found pair equals ``exhaustive_pair``, the
-    (tx, rx) pair of :func:`exhaustive_search` on this channel.
-    ``align-any-mpc``: the found pair equals the nearest-leaf pair of at
-    least one path.  ``align-strongest``: same, but only the path with the
-    largest coefficient magnitude qualifies.
-    """
-    policy = AdjudicationPolicy(policy)
-    found = outcome.pair
-    if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
-        return found == tuple(exhaustive_pair)
-    mpcs = channel.mpcs
-    if policy is AdjudicationPolicy.ALIGN_STRONGEST:
-        mpcs = (max(mpcs, key=lambda m: abs(m.coeff)),)
-    return any(
-        found == (nearest_leaf(channel.n_tx, m.psi), nearest_leaf(channel.n_rx, m.omega))
-        for m in mpcs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +159,16 @@ class PathBlock:
 
 class LockstepOutcome:
     """The searches of B realizations: the found (tx, rx) leaf ``pairs``,
-    (B, 2), and each stage's ``winners`` and their noiseless power
-    ``gains``, (B, n_steps); indices are 1-based, as in :class:`TraceRow`."""
+    (B, 2), and each stage's ``winners`` with their measured ``y_power``
+    and noiseless power ``gains``, (B, n_steps); indices are 1-based, as in
+    :class:`TraceRow`."""
 
-    __slots__ = ("pairs", "winners", "gains")
+    __slots__ = ("pairs", "winners", "y_power", "gains")
 
     def __init__(self, b: int, n_steps: int) -> None:
         self.pairs = np.empty((b, 2), dtype=np.intp)
         self.winners = np.empty((b, n_steps), dtype=np.intp)
+        self.y_power = np.empty((b, n_steps))
         self.gains = np.empty((b, n_steps))
 
 
@@ -337,7 +199,7 @@ def _lockstep_descend(
         children = 2 * parent[:, np.newaxis] + np.arange(2)  # lower child first
         cand = cb.layers[k][children]  # (B, 2, N)
         z = noise[:, stage]
-        nz = std * (z[:, :, 0] + 1j * z[:, :, 1])  # (B, 2, N_rx), as measure draws it
+        nz = std * (z[:, :, 0] + 1j * z[:, :, 1])  # (B, 2, N_rx)
         if w_rx is None:
             np.conjugate(cand, out=cand)
             combined = np.einsum("bcn,bcn->bc", cand, nz)
@@ -351,6 +213,7 @@ def _lockstep_descend(
         high = (y_power[:, 1] > y_power[:, 0]).astype(np.intp)
         parent = children[rows, high]
         out.winners[:, stage] = parent + 1
+        out.y_power[:, stage] = y_power[rows, high]
         out.gains[:, stage] = power_model.gain(np.abs(g) ** 2, active)[rows, high]
     return parent
 
@@ -362,12 +225,20 @@ def lockstep_search(
     power_model: PowerModel,
     noise: np.ndarray,
 ) -> LockstepOutcome:
-    """:func:`hierarchical_search` for a block of B realizations at once.
+    """Two-phase binary-tree search over the receive and transmit codebooks,
+    for a block of B realizations at once.
+
+    Phase one pins the transmitter to its widest codeword and walks the
+    receive tree from layer 1 down to the leaves, measuring both children of
+    the current parent once per stage.  Phase two pins the receiver to the
+    found leaf and walks the transmit tree the same way: ``log2(N_rx) +
+    log2(N_tx)`` stages of two measurements each.
 
     ``noise`` holds each realization's standard normal draws, shape (B,
     n_steps, 2, 2, N_rx): per stage, per child (lower first), the real then
-    the imaginary parts of the receive noise, as :func:`measure` draws them
-    in turn.  The receive phase sees ``H w_root = sqrt(N_tx N_rx) A_rx (c *
+    the imaginary parts of the receive noise, each scaled by
+    ``sqrt(noise_power / 2)`` and combined by the receive weights.  The
+    receive phase sees ``H w_root = sqrt(N_tx N_rx) A_rx (c *
     A_tx^H w_root)`` and the transmit phase ``w_rx^H H = sqrt(N_tx N_rx)
     ((w_rx^H A_rx) * c) A_tx^H``, O(L N) per realization each.
     """
@@ -398,8 +269,11 @@ def lockstep_search(
 def lockstep_exhaustive(
     block: PathBlock, power_model: PowerModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`exhaustive_search` for a block of B realizations: the (B, 2)
-    1-based (tx, rx) pairs and the (B,) gains.
+    """Noiseless scan over every pair of last-layer steering vectors, for a
+    block of B realizations: the (B, 2) 1-based (tx, rx) pairs and the (B,)
+    gains.  Ties go to the smallest (tx, rx) pair lexicographically.  The
+    pairs do not depend on the power model; the gains follow it (last-layer
+    codewords keep every transmit antenna active).
 
     Per realization the leaf couplings are ``(S_rx^H A_rx * c)(S_tx^H
     A_tx)^H``, an O(L N^2) product; one realization's N_tx x N_rx couplings
@@ -426,10 +300,14 @@ def lockstep_adjudicate(
     policy: AdjudicationPolicy | str,
     exhaustive_pairs: np.ndarray,
 ) -> np.ndarray:
-    """:func:`adjudicate` for a block of B realizations: one flag each.
+    """Decide, for each of B realizations, whether its search succeeded.
 
     ``pairs`` and ``exhaustive_pairs`` are (B, 2) 1-based (tx, rx) pairs,
     as from :func:`lockstep_search` and :func:`lockstep_exhaustive`.
+    ``match-exhaustive``: the found pair equals the exhaustive pair.
+    ``align-any-mpc``: the found pair equals the nearest-leaf pair of at
+    least one path.  ``align-strongest``: same, but only the path with the
+    largest coefficient magnitude qualifies.
     """
     policy = AdjudicationPolicy(policy)
     if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
@@ -439,6 +317,6 @@ def lockstep_adjudicate(
         nearest_leaf(n_rx, block.omega) == pairs[:, 1:]
     )
     if policy is AdjudicationPolicy.ALIGN_STRONGEST:
-        # argmax takes the first of equal magnitudes, as max() does.
+        # Of equal magnitudes, argmax takes the first path.
         return hit[np.arange(len(hit)), np.argmax(np.abs(block.coeff), axis=1)]
     return hit.any(axis=1)

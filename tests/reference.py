@@ -1,0 +1,78 @@
+"""Dense-matrix reference for the lockstep search engine.
+
+A plain, independent form of one realization's search, exhaustive scan and
+adjudication: the channel is its N_rx x N_tx matrix, and each measurement is
+one matrix-vector product with its own noise draw.  Tests compare the engine
+against it.
+"""
+
+import math
+
+import numpy as np
+
+from beamtrain.arrays import steering_matrix, steering_weights
+from beamtrain.search import AdjudicationPolicy, nearest_leaf
+
+
+def channel_matrix(n_tx, n_rx, coeff, omega, psi):
+    """``sqrt(n_tx n_rx) sum_l coeff_l a(n_rx, omega_l) a(n_tx, psi_l)^H``."""
+    h = np.zeros((n_rx, n_tx), dtype=np.complex128)
+    for c, o, p in zip(coeff, omega, psi):
+        h += c * np.outer(steering_weights(n_rx, o), steering_weights(n_tx, p).conj())
+    return math.sqrt(n_tx * n_rx) * h
+
+
+def measure(w_tx, w_rx, h, power_model, rng):
+    """One training symbol: ``(|y|^2, noiseless gain)``.  The noise is N_rx
+    real parts then N_rx imaginary parts from ``rng``."""
+    n_rx = h.shape[0]
+    z = rng.standard_normal(2 * n_rx)
+    noise = math.sqrt(power_model.noise_power / 2.0) * (z[:n_rx] + 1j * z[n_rx:])
+    g = complex(w_rx.conj() @ (h @ w_tx))
+    active = np.count_nonzero(w_tx)
+    y = math.sqrt(power_model.tx_power(active)) * g + w_rx.conj() @ noise
+    return abs(y) ** 2, power_model.gain(abs(g) ** 2, active)
+
+
+def search(cb_tx, cb_rx, h, power_model, rng):
+    """The receive then the transmit descent, measuring the lower child
+    first and keeping it on a tie.  Returns the 1-based (tx, rx) pair and
+    one ``(winner, y_power, gain)`` per stage."""
+    stages = []
+
+    def descend(cb, fixed, side):
+        parent = 0
+        for k in range(1, cb.depth + 1):
+            measured = []
+            for w in cb.layers[k][2 * parent : 2 * parent + 2]:
+                w_tx, w_rx = (fixed, w) if side == "rx" else (w, fixed)
+                measured.append(measure(w_tx, w_rx, h, power_model, rng))
+            high = int(measured[1][0] > measured[0][0])
+            parent = 2 * parent + high
+            stages.append((parent + 1, *measured[high]))
+        return parent
+
+    rx = descend(cb_rx, cb_tx.layers[0][0], "rx")
+    tx = descend(cb_tx, cb_rx.layers[-1][rx], "tx")
+    return (tx + 1, rx + 1), stages
+
+
+def exhaustive(h, power_model):
+    """The 1-based (tx, rx) leaf pair of largest noiseless coupling, the
+    lexicographically smallest on a tie, and its gain."""
+    n_rx, n_tx = h.shape
+    coupling_sq = np.abs(steering_matrix(n_rx).conj().T @ h @ steering_matrix(n_tx)) ** 2
+    tx, rx = divmod(int(np.argmax(coupling_sq.T)), n_rx)
+    return (tx + 1, rx + 1), power_model.gain(float(coupling_sq[rx, tx]), n_tx)
+
+
+def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):
+    """Whether the found ``pair`` succeeds under ``policy`` on the channel of
+    ``paths`` ``(coeff, omega, psi)``."""
+    policy = AdjudicationPolicy(policy)
+    if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
+        return pair == exhaustive_pair
+    paths = list(zip(*paths))
+    if policy is AdjudicationPolicy.ALIGN_STRONGEST:
+        paths = [max(paths, key=lambda path: abs(path[0]))]
+    return any(pair == (nearest_leaf(n_tx, p), nearest_leaf(n_rx, o)) for _, o, p in paths)

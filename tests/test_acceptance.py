@@ -5,8 +5,10 @@ terminal summary) and then asserts, so a red criterion is visible both ways.
 All Monte-Carlo gates use seed 1 and 1000 realizations.
 """
 
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,21 +20,20 @@ from beamtrain import (
     PowerModel,
     beam_coverage,
     coverage_factor_rho,
-    exhaustive_search,
+    draw_paths,
     generate_bmw_ss,
     generate_codebook,
     generate_deact,
-    hierarchical_search,
     random_awv,
     rotate,
     run_received_power,
     run_success_rate,
-    sample_channel,
     subarray_phase_objective,
     validate_criterion1,
     validate_criterion2,
 )
 from beamtrain import search
+from beamtrain.search import PathBlock, lockstep_exhaustive, lockstep_search
 
 GRID_POINTS = 4096
 SEED = 1
@@ -148,21 +149,36 @@ def test_criterion_05_subarray_phase_optimum():
     )
 
 
+def _block(params: ChannelParams, stream: int, realizations: int) -> PathBlock:
+    """Realization r's paths from ``default_rng((SEED, stream, r))``."""
+    drawn = [
+        draw_paths(params, np.random.default_rng((SEED, stream, r))) for r in range(realizations)
+    ]
+    return PathBlock(*(np.stack(c) for c in zip(*drawn)), params.n_tx, params.n_rx)
+
+
+def _noise(stream: int, realizations: int, n: int) -> np.ndarray:
+    """Realization r's search noise from ``default_rng((SEED, stream, r))``."""
+    n_steps = 2 * (n.bit_length() - 1)
+    return np.stack(
+        [
+            np.random.default_rng((SEED, stream, r)).standard_normal((n_steps, 2, 2, n))
+            for r in range(realizations)
+        ]
+    )
+
+
 def test_criterion_06_noiseless_search_matches_exhaustive():
     pm = PowerModel.total(1.0, 0.0)
     counts = {}
     for n in (16, 64):
+        block = _block(ChannelParams(n_tx=n, n_rx=n, n_paths=1), 60, REALIZATIONS)
+        best_pairs, _ = lockstep_exhaustive(block, pm)
+        noise = _noise(61, REALIZATIONS, n)
         for method in ("deact", "bmw-ss"):
             cb = generate_codebook(method, n)
-            params = ChannelParams(n_tx=n, n_rx=n, n_paths=1)
-            hits = 0
-            for r in range(REALIZATIONS):
-                ch = sample_channel(params, np.random.default_rng((SEED, 60, r)))
-                out = hierarchical_search(
-                    cb, cb, ch, pm, np.random.default_rng((SEED, 61, r))
-                )
-                hits += out.pair == exhaustive_search(ch, pm)[:2]
-            counts[(method, n)] = hits
+            found = lockstep_search(cb, cb, block, pm, noise).pairs
+            counts[(method, n)] = int(np.count_nonzero(np.all(found == best_pairs, axis=1)))
     ok = all(v == REALIZATIONS for v in counts.values())
     gate(
         "6 noiseless oracle equivalence",
@@ -171,26 +187,43 @@ def test_criterion_06_noiseless_search_matches_exhaustive():
     )
 
 
+class _CountedLayer:
+    """A codebook layer that counts, per realization, the rows each stage
+    reads for measurement: the engine indexes a layer with a (B, children)
+    array of candidate rows once per stage."""
+
+    def __init__(self, layer: np.ndarray, stages: list) -> None:
+        self.layer, self.stages = layer, stages
+
+    def __getitem__(self, rows):
+        self.stages.append(np.shape(rows)[1:])
+        return self.layer[rows]
+
+
 def test_criterion_07_search_cost(monkeypatch):
-    calls = []
-    real_measure = search.measure
+    stages: list = []
+    descend = search._lockstep_descend
 
-    def counted_measure(*args):
-        calls.append(None)
-        return real_measure(*args)
+    def counted_descend(cb, *args):
+        counted = SimpleNamespace(
+            depth=cb.depth,
+            active_counts=cb.active_counts,
+            layers=[_CountedLayer(layer, stages) for layer in cb.layers],
+        )
+        return descend(counted, *args)
 
-    monkeypatch.setattr(search, "measure", counted_measure)
+    monkeypatch.setattr(search, "_lockstep_descend", counted_descend)
     pm = PowerModel.from_snr_db("total", 20.0)
-    params = ChannelParams(n_tx=64, n_rx=64, n_paths=3)
+    block = _block(ChannelParams(n_tx=64, n_rx=64, n_paths=3), 70, 25)
+    noise = _noise(71, 25, 64)
     ok = True
     for method in ("deact", "bmw-ss"):
         cb = generate_codebook(method, 64)
-        for r in range(25):
-            ch = sample_channel(params, np.random.default_rng((SEED, 70, r)))
-            calls.clear()
-            out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((SEED, 71, r)))
-            if len(out.trace) != 12 or len(calls) != 24:
-                ok = False
+        stages.clear()
+        out = lockstep_search(cb, cb, block, pm, noise)
+        measurements = sum(math.prod(shape) for shape in stages)
+        if out.winners.shape != (25, 12) or len(stages) != 12 or measurements != 24:
+            ok = False
     gate("7 search cost", ok, "every N=64 trace has 12 stages and 24 measurements")
 
 

@@ -31,12 +31,12 @@ policy align-strongest: success
 """
 PINNED_SEARCH_CSV = """\
 stage,side,candidate_1,candidate_2,winner,y_power,noiseless_gain
-1,rx,1,2,2,1.6718027755285219,1.6455341073516465
-2,rx,3,4,3,4.703040079061032,4.690486064555018
-3,rx,5,6,6,6.577386922660682,6.558201778728516
+1,rx,1,2,2,1.6718027755285205,1.6455341073516452
+2,rx,3,4,3,4.703040079061034,4.69048606455502
+3,rx,5,6,6,6.577386922660684,6.5582017787285185
 4,tx,1,2,2,8.626461977362,8.627489049393544
 5,tx,3,4,4,19.782098579019383,19.815888672909367
-6,tx,7,8,7,37.0130395008119,37.080490254630526
+6,tx,7,8,7,37.01303950081191,37.08049025463053
 """
 
 

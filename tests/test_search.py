@@ -3,27 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from beamtrain import (
     AdjudicationPolicy,
-    Channel,
     ChannelKind,
     ChannelParams,
-    Mpc,
     PowerMode,
     PowerModel,
-    adjudicate,
-    assemble_matrix,
-    channel_from_paths,
     draw_paths,
-    exhaustive_search,
     generate_codebook,
-    hierarchical_search,
     leaf_angles,
-    measure,
     nearest_leaf,
-    sample_channel,
     steering_weights,
 )
+from beamtrain import cli
+from beamtrain.experiments import ExperimentResult
 from beamtrain.search import (
     TRACE_COLUMNS,
     PathBlock,
@@ -33,9 +27,48 @@ from beamtrain.search import (
 )
 
 
-def unit_path_channel(n, omega, psi, coeff=1.0):
-    mpc = Mpc(coeff=coeff, omega=omega, psi=psi)
-    return Channel(n, n, (mpc,), assemble_matrix(n, n, [mpc]))
+def path_block(n_tx, n_rx, coeff, omega, psi):
+    """A block from (B, L) path arrays."""
+    return PathBlock(
+        np.asarray(coeff, dtype=complex), np.asarray(omega, dtype=float),
+        np.asarray(psi, dtype=float), n_tx, n_rx,
+    )
+
+
+def drawn_block(params, seeds):
+    """The block of the paths that ``draw_paths`` draws from each seed."""
+    drawn = [draw_paths(params, np.random.default_rng(seed)) for seed in seeds]
+    return path_block(params.n_tx, params.n_rx, *(np.stack(column) for column in zip(*drawn)))
+
+
+def zero_block(n_tx, n_rx, b=1):
+    """B realizations of one path with a zero coefficient: a dead channel."""
+    return path_block(n_tx, n_rx, np.zeros((b, 1)), np.zeros((b, 1)), np.zeros((b, 1)))
+
+
+def noise_for(cb_tx, cb_rx, seeds):
+    """Each seed's standard normal draws, in the engine's noise layout."""
+    shape = (cb_tx.depth + cb_rx.depth, 2, 2, cb_rx.n)
+    return np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+
+
+def search(cb_tx, cb_rx, block, pm, seeds):
+    return lockstep_search(cb_tx, cb_rx, block, pm, noise_for(cb_tx, cb_rx, seeds))
+
+
+def demo_trace(monkeypatch, tmp_path, *args):
+    """The rows the ``search`` demo writes to its trace CSV."""
+    written = []
+    write_csv = ExperimentResult.write_csv
+
+    def capture(result, path):
+        written.append(result.rows)
+        write_csv(result, path)
+
+    monkeypatch.setattr(ExperimentResult, "write_csv", capture)
+    assert cli.main(["search", *args, "--out", str(tmp_path / "trace.csv")]) == 0
+    [rows] = written
+    return rows
 
 
 class TestPowerModel:
@@ -72,101 +105,106 @@ class TestPowerModel:
 
 class TestMeasure:
     def test_noiseless_total_power(self):
-        ch = unit_path_channel(8, 0.3, -0.2)
-        w_t = steering_weights(8, -0.2)
-        w_r = steering_weights(8, 0.3)
-        pm = PowerModel.total(1.0, 0.0)
-        y_power, noiseless_gain = measure(
-            w_t, w_r, ch, pm, np.random.default_rng(0)
-        )
-        want = abs(ch.coupling(w_t, w_r)) ** 2
-        assert y_power == pytest.approx(want, rel=1e-12)
-        assert noiseless_gain == pytest.approx(want, rel=1e-12)
+        # Without noise each stage's measured power is its noiseless gain,
+        # the squared coupling of the two codewords it measured.
+        params = ChannelParams(8, 8, 3)
+        block = drawn_block(params, range(4))
+        cb = generate_codebook("bmw-ss", 8)
+        out = search(cb, cb, block, PowerModel.total(1.0, 0.0), [(1, i) for i in range(4)])
+        for i in range(4):
+            h = reference.channel_matrix(8, 8, *draw_paths(params, np.random.default_rng(i)))
+            rx = out.pairs[i, 1]
+            for stage, winner in enumerate(out.winners[i]):
+                if stage < cb.depth:  # the root transmits
+                    w_tx, w_rx = cb.layers[0][0], cb.layers[stage + 1][winner - 1]
+                else:  # the found receive leaf listens
+                    w_tx, w_rx = cb.layers[stage - cb.depth + 1][winner - 1], cb.layers[-1][rx - 1]
+                want = abs(w_rx.conj() @ h @ w_tx) ** 2
+                assert out.y_power[i, stage] == pytest.approx(want, rel=1e-12)
+                assert out.gains[i, stage] == pytest.approx(want, rel=1e-12)
 
     def test_per_antenna_gain_includes_active_count(self):
-        ch = unit_path_channel(8, 0.3, -0.2)
-        w_t = steering_weights(8, -0.2)
-        w_r = steering_weights(8, 0.3)
-        _, noiseless_gain = measure(
-            w_t, w_r, ch, PowerModel.per_antenna(1.0, 0.0), np.random.default_rng(0)
-        )
-        assert noiseless_gain == pytest.approx(
-            8 * abs(ch.coupling(w_t, w_r)) ** 2, rel=1e-12
-        )
+        block = drawn_block(ChannelParams(16, 16, 3), range(20))
+        seeds = [(2, i) for i in range(20)]
+        for method in ("deact", "bmw-ss"):
+            cb = generate_codebook(method, 16)
+            total = search(cb, cb, block, PowerModel.total(1.0, 0.0), seeds)
+            per = search(cb, cb, block, PowerModel.per_antenna(1.0, 0.0), seeds)
+            # Siblings share an active count, so the same children win.
+            np.testing.assert_array_equal(per.winners, total.winners)
+            active = np.empty_like(total.gains)
+            active[:, : cb.depth] = cb.active_counts[0][0]  # the pinned root transmits
+            for k in range(1, cb.depth + 1):
+                stage = cb.depth + k - 1
+                active[:, stage] = cb.active_counts[k][total.winners[:, stage] - 1]
+            np.testing.assert_allclose(per.gains, active * total.gains, rtol=1e-12)
 
     def test_zero_channel_noise_expectation(self):
-        # With a dead channel the measured power is pure combined noise,
-        # whose expectation is the per-antenna noise power.
-        n0 = 2.5e-3
-        ch = Channel(4, 8, (), np.zeros((8, 4), dtype=complex))
-        pm = PowerModel.total(1.0, n0)
-        w_t, w_r = steering_weights(4, 0.0), steering_weights(8, 0.0)
-        rng = np.random.default_rng(1)
-        draws = np.array(
-            [measure(w_t, w_r, ch, pm, rng)[0] for _ in range(100_000)]
+        # With a dead channel each measurement is pure combined noise, |y|^2
+        # exponential with the per-antenna noise power n0 as its mean.  The
+        # winner keeps the larger of two independent draws, whose mean is
+        # 1.5 n0 and standard deviation sqrt(1.25) n0.
+        n0, b = 2.5e-3, 4000
+        cb_tx, cb_rx = generate_codebook("deact", 4), generate_codebook("deact", 8)
+        noise = np.random.default_rng(1).standard_normal((b, 5, 2, 2, 8))
+        out = lockstep_search(cb_tx, cb_rx, zero_block(4, 8, b), PowerModel.total(1.0, n0), noise)
+        draws = out.y_power.ravel()
+        assert np.mean(draws) == pytest.approx(
+            1.5 * n0, abs=3 * np.sqrt(1.25) * n0 / np.sqrt(draws.size)
         )
-        # |y|^2 is exponential with mean n0, so the standard error is n0/sqrt(R).
-        assert np.mean(draws) == pytest.approx(n0, abs=3 * n0 / np.sqrt(draws.size))
-
-    def test_rejects_size_mismatch(self):
-        ch = unit_path_channel(8, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            measure(
-                steering_weights(4, 0.0),
-                steering_weights(8, 0.0),
-                ch,
-                PowerModel.total(),
-                np.random.default_rng(0),
-            )
 
 
 class TestHierarchicalSearch:
     def test_trace_has_expected_shape(self):
         cb = generate_codebook("bmw-ss", 64)
-        ch = sample_channel(ChannelParams(64, 64, 3), np.random.default_rng(2))
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(3))
-        assert len(out.trace) == 12
-        assert [s.side for s in out.trace] == ["rx"] * 6 + ["tx"] * 6
-        assert [s.stage for s in out.trace] == list(range(1, 13))
-        for row in out.trace:
-            assert row.winner in (row.candidate_1, row.candidate_2)
-            assert row.candidate_2 == row.candidate_1 + 1
+        block = drawn_block(ChannelParams(64, 64, 3), range(5))
+        out = search(cb, cb, block, PowerModel.total(), [(3, i) for i in range(5)])
+        assert out.pairs.shape == (5, 2)
+        assert out.winners.shape == out.y_power.shape == out.gains.shape == (5, 12)
+        layer_sizes = [2**k for k in range(1, 7)] * 2  # receive stages, then transmit
+        assert np.all((out.winners >= 1) & (out.winners <= layer_sizes))
 
     def test_zero_channel_still_completes(self):
         cb = generate_codebook("deact", 16)
-        ch = Channel(16, 16, (), np.zeros((16, 16), dtype=complex))
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(4))
-        assert len(out.trace) == 8
-        assert 1 <= out.pair[0] <= 16 and 1 <= out.pair[1] <= 16
+        out = search(cb, cb, zero_block(16, 16), PowerModel.total(), [4])
+        assert out.winners.shape == (1, 8)
+        assert 1 <= out.pairs[0, 0] <= 16 and 1 <= out.pairs[0, 1] <= 16
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     def test_noiseless_single_path_finds_best_pair(self, method):
         cb = generate_codebook(method, 16)
         pm = PowerModel.total(1.0, 0.0)
-        params = ChannelParams(16, 16, 1)
-        for seed in range(100):
-            ch = sample_channel(params, np.random.default_rng((20, seed)))
-            out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((21, seed)))
-            tx, rx, _ = exhaustive_search(ch, pm)
-            assert out.pair == (tx, rx)
+        block = drawn_block(ChannelParams(16, 16, 1), [(20, seed) for seed in range(100)])
+        out = search(cb, cb, block, pm, [(21, seed) for seed in range(100)])
+        np.testing.assert_array_equal(out.pairs, lockstep_exhaustive(block, pm)[0])
 
     def test_rejects_mismatched_codebooks(self):
         cb = generate_codebook("deact", 8)
-        ch = sample_channel(ChannelParams(16, 16, 1), np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(6))
+        block = drawn_block(ChannelParams(16, 16, 1), [5])
+        with pytest.raises(ValueError, match="codebook sizes"):
+            lockstep_search(cb, cb, block, PowerModel.total(), np.zeros((1, 6, 2, 2, 16)))
 
     def test_distinct_array_sizes(self):
         cb_tx = generate_codebook("deact", 16)
         cb_rx = generate_codebook("deact", 8)
-        ch = sample_channel(ChannelParams(16, 8, 2), np.random.default_rng(7))
-        out = hierarchical_search(cb_tx, cb_rx, ch, PowerModel.total(), np.random.default_rng(8))
-        assert len(out.trace) == 3 + 4
-        assert 1 <= out.pair[0] <= 16 and 1 <= out.pair[1] <= 8
+        block = drawn_block(ChannelParams(16, 8, 2), [7])
+        out = search(cb_tx, cb_rx, block, PowerModel.total(), [8])
+        assert out.winners.shape == (1, 3 + 4)
+        assert 1 <= out.pairs[0, 0] <= 16 and 1 <= out.pairs[0, 1] <= 8
 
 
 search_sizes = st.sampled_from([2**e for e in range(1, 7)])
 search_methods = st.sampled_from(["deact", "bmw-ss"])
+
+
+def assert_each_stage_splits_the_previous_winner(out, depth_tx, depth_rx):
+    for winners, pair in zip(out.winners.tolist(), out.pairs.tolist()):
+        for side, stages in ((1, winners[:depth_rx]), (0, winners[depth_rx:])):
+            parent = 1
+            for winner in stages:
+                assert winner in (2 * parent - 1, 2 * parent)
+                parent = winner
+            assert pair[side] == parent
 
 
 class TestSearchProperties:
@@ -184,51 +222,37 @@ class TestSearchProperties:
         self, method, n_tx, n_rx, kind, n_paths, seed, snr_db
     ):
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
-        ch = sample_channel(ChannelParams(n_tx, n_rx, n_paths, kind), np.random.default_rng(seed))
+        block = drawn_block(ChannelParams(n_tx, n_rx, n_paths, kind), [(seed, i) for i in range(3)])
         pm = PowerModel.from_snr_db("total", snr_db)
-        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed + 1))
-        depth_rx, depth_tx = n_rx.bit_length() - 1, n_tx.bit_length() - 1
-        rows = out.trace
-        assert len(out.trace) == depth_rx + depth_tx
-        assert [s.side for s in rows] == ["rx"] * depth_rx + ["tx"] * depth_tx
-        for side, side_rows, offset in (
-            ("rx", rows[:depth_rx], 0),
-            ("tx", rows[depth_rx:], depth_rx),
-        ):
-            parent = 1
-            for k, row in enumerate(side_rows, start=1):
-                assert row.stage - offset == k
-                assert (row.candidate_1, row.candidate_2) == (2 * parent - 1, 2 * parent)
-                assert row.winner in (row.candidate_1, row.candidate_2)
-                parent = row.winner
-            assert out.pair[0 if side == "tx" else 1] == parent
+        out = search(cb_tx, cb_rx, block, pm, [(seed, i, 1) for i in range(3)])
+        assert out.winners.shape == (3, cb_tx.depth + cb_rx.depth)
+        assert_each_stage_splits_the_previous_winner(out, cb_tx.depth, cb_rx.depth)
 
     @settings(max_examples=30, deadline=None)
     @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, seed=st.integers(0, 99))
     def test_zero_channel_ties_go_to_the_lower_child(self, method, n_tx, n_rx, seed):
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
-        ch = Channel(n_tx, n_rx, (), np.zeros((n_rx, n_tx), dtype=complex))
-        pm = PowerModel.total(1.0, 0.0)
-        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(seed))
-        assert out.pair == (1, 1)
-        assert all(row.winner == row.candidate_1 for row in out.trace)
+        out = search(cb_tx, cb_rx, zero_block(n_tx, n_rx), PowerModel.total(1.0, 0.0), [seed])
+        assert out.pairs.tolist() == [[1, 1]]
+        assert np.all(out.winners == 1)  # the lower child of the first row, every stage
 
     @settings(max_examples=60, deadline=None)
     @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, data=st.data())
     def test_noiseless_on_grid_path_reaches_exhaustive_pair(self, method, n_tx, n_rx, data):
         i_tx = data.draw(st.integers(0, n_tx - 1))
         i_rx = data.draw(st.integers(0, n_rx - 1))
-        mpc = Mpc(coeff=1.0, omega=leaf_angles(n_rx)[i_rx], psi=leaf_angles(n_tx)[i_tx])
-        ch = Channel(n_tx, n_rx, (mpc,), assemble_matrix(n_tx, n_rx, [mpc]))
+        omega, psi = leaf_angles(n_rx)[i_rx], leaf_angles(n_tx)[i_tx]
+        block = path_block(n_tx, n_rx, [[1.0]], [[omega]], [[psi]])
         pm = PowerModel.total(1.0, 0.0)
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
-        out = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng(0))
-        assert out.pair == exhaustive_search(ch, pm)[:2] == (i_tx + 1, i_rx + 1)
+        out = search(cb_tx, cb_rx, block, pm, [0])
+        best, _ = lockstep_exhaustive(block, pm)
+        assert out.pairs.tolist() == best.tolist() == [[i_tx + 1, i_rx + 1]]
 
 
 class TestLockstepMatchesReference:
-    """The lockstep engine, realization by realization, against the scalar
-    search, oracle and adjudication on the same paths and noise draws."""
+    """The lockstep engine, realization by realization, against the
+    dense-matrix reference on the same paths and noise draws."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -248,19 +272,19 @@ class TestLockstepMatchesReference:
         pm = PowerModel(mode, 1.0, noise_power)
         n_steps = n_tx.bit_length() + n_rx.bit_length() - 2
         drawn = [draw_paths(params, np.random.default_rng((seed, i))) for i in range(blocks)]
-        block = PathBlock(*(np.stack(column) for column in zip(*drawn)), n_tx, n_rx)
+        block = path_block(n_tx, n_rx, *(np.stack(column) for column in zip(*drawn)))
         noise = np.stack(
             [
                 np.random.default_rng((seed, i, 1)).standard_normal(4 * n_rx * n_steps)
                 for i in range(blocks)
             ]
         ).reshape(blocks, n_steps, 2, 2, n_rx)
-        channels = [channel_from_paths(n_tx, n_rx, *paths) for paths in drawn]
+        matrices = [reference.channel_matrix(n_tx, n_rx, *paths) for paths in drawn]
 
         best_pairs, best_gains = lockstep_exhaustive(block, pm)
-        for i, ch in enumerate(channels):
-            tx, rx, gain = exhaustive_search(ch, pm)
-            assert tuple(best_pairs[i]) == (tx, rx)
+        for i, h in enumerate(matrices):
+            pair, gain = reference.exhaustive(h, pm)
+            assert tuple(best_pairs[i]) == pair
             assert best_gains[i] == pytest.approx(gain, rel=1e-12)
 
         for method in ("deact", "bmw-ss"):
@@ -269,21 +293,27 @@ class TestLockstepMatchesReference:
             flags = {
                 p: lockstep_adjudicate(out.pairs, block, p, best_pairs) for p in AdjudicationPolicy
             }
-            for i, ch in enumerate(channels):
-                ref = hierarchical_search(cb_tx, cb_rx, ch, pm, np.random.default_rng((seed, i, 1)))
-                assert tuple(out.pairs[i]) == ref.pair
-                assert out.winners[i].tolist() == [row.winner for row in ref.trace]
+            for i, h in enumerate(matrices):
+                rng = np.random.default_rng((seed, i, 1))
+                pair, stages = reference.search(cb_tx, cb_rx, h, pm, rng)
+                winners, y_power, gains = (list(column) for column in zip(*stages))
+                assert tuple(out.pairs[i]) == pair
+                assert out.winners[i].tolist() == winners
                 # Relative, except at a winner near a null, where both sides
-                # round at 1e-16 of the search's largest gain.
-                want = [row.noiseless_gain for row in ref.trace]
-                np.testing.assert_allclose(out.gains[i], want, rtol=1e-12, atol=1e-15 * max(want))
+                # round at 1e-16 of the search's largest value.
+                np.testing.assert_allclose(out.gains[i], gains, rtol=1e-12, atol=1e-15 * max(gains))
+                np.testing.assert_allclose(
+                    out.y_power[i], y_power, rtol=1e-12, atol=1e-15 * max(y_power)
+                )
+                exhaustive_pair = tuple(best_pairs[i])
                 for policy, flag in flags.items():
-                    assert flag[i] == adjudicate(ref, ch, policy, tuple(best_pairs[i]))
+                    assert flag[i] == reference.adjudicate(
+                        pair, exhaustive_pair, n_tx, n_rx, drawn[i], policy
+                    )
 
     def test_rejects_mismatched_noise(self):
         cb = generate_codebook("deact", 8)
-        paths = draw_paths(ChannelParams(8, 8, 2), np.random.default_rng(0))
-        block = PathBlock(*(p[np.newaxis] for p in paths), 8, 8)
+        block = drawn_block(ChannelParams(8, 8, 2), [0])
         with pytest.raises(ValueError, match="noise"):
             lockstep_search(cb, cb, block, PowerModel.total(), np.zeros((1, 6, 2, 2, 4)))
 
@@ -297,34 +327,37 @@ class TestLockstepMatchesReference:
 class TestExhaustiveSearch:
     def test_on_grid_single_path(self):
         angs = -1 + (2 * np.arange(1, 9) - 1) / 8
-        ch = unit_path_channel(8, angs[2], angs[5])
-        tx, rx, gain = exhaustive_search(ch, PowerModel.total(1.0, 0.0))
-        assert (tx, rx) == (6, 3)
-        assert gain == pytest.approx(64.0, rel=1e-12)
+        block = path_block(8, 8, [[1.0]], [[angs[2]]], [[angs[5]]])
+        pairs, gains = lockstep_exhaustive(block, PowerModel.total(1.0, 0.0))
+        assert pairs.tolist() == [[6, 3]]
+        assert gains[0] == pytest.approx(64.0, rel=1e-12)
 
     def test_matches_literal_double_loop(self):
         params = ChannelParams(16, 16, 3)
         pm = PowerModel.total(1.0, 0.0)
+        pairs, best = lockstep_exhaustive(drawn_block(params, range(3)), pm)
         for seed in range(3):
-            ch = sample_channel(params, np.random.default_rng(seed))
+            h = reference.channel_matrix(16, 16, *draw_paths(params, np.random.default_rng(seed)))
             gains = np.empty((16, 16))
             for i in range(16):
                 w_t = steering_weights(16, -1 + (2 * (i + 1) - 1) / 16)
                 for j in range(16):
                     w_r = steering_weights(16, -1 + (2 * (j + 1) - 1) / 16)
-                    gains[i, j] = abs(ch.coupling(w_t, w_r)) ** 2
-            tx, rx, gain = exhaustive_search(ch, pm)
-            assert gain == pytest.approx(gains.max(), rel=1e-10)
+                    gains[i, j] = abs(w_r.conj() @ h @ w_t) ** 2
+            tx, rx = pairs[seed]
+            assert best[seed] == pytest.approx(gains.max(), rel=1e-10)
             assert gains[tx - 1, rx - 1] == pytest.approx(gains.max(), rel=1e-10)
 
     def test_pair_does_not_depend_on_power_model(self):
-        ch = sample_channel(ChannelParams(16, 8, 3), np.random.default_rng(11))
-        tx, rx, total = exhaustive_search(ch, PowerModel.total(1.0, 0.0))
-        assert exhaustive_search(ch, PowerModel.per_antenna(1.0, 0.0)) == (tx, rx, 16 * total)
+        block = drawn_block(ChannelParams(16, 8, 3), [11])
+        pairs, total = lockstep_exhaustive(block, PowerModel.total(1.0, 0.0))
+        per_pairs, per = lockstep_exhaustive(block, PowerModel.per_antenna(1.0, 0.0))
+        np.testing.assert_array_equal(per_pairs, pairs)
+        np.testing.assert_array_equal(per, 16 * total)
 
     def test_all_ties_resolve_to_first_pair(self):
-        ch = Channel(8, 8, (), np.zeros((8, 8), dtype=complex))
-        assert exhaustive_search(ch, PowerModel.total())[:2] == (1, 1)
+        pairs, _ = lockstep_exhaustive(zero_block(8, 8), PowerModel.total())
+        assert pairs.tolist() == [[1, 1]]
 
 
 class TestAdjudication:
@@ -337,33 +370,33 @@ class TestAdjudication:
 
     def test_on_grid_single_path_all_policies_succeed(self):
         angs = -1 + (2 * np.arange(1, 17) - 1) / 16
-        ch = unit_path_channel(16, angs[4], angs[9])
+        block = path_block(16, 16, [[1.0]], [[angs[4]]], [[angs[9]]])
         cb = generate_codebook("deact", 16)
         pm = PowerModel.total(1.0, 0.0)
-        out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng(0))
-        best = exhaustive_search(ch, pm)[:2]
+        out = search(cb, cb, block, pm, [0])
+        best, _ = lockstep_exhaustive(block, pm)
         for policy in AdjudicationPolicy:
-            assert adjudicate(out, ch, policy, best)
+            assert lockstep_adjudicate(out.pairs, block, policy, best).tolist() == [True]
 
     def test_match_exhaustive_compares_with_the_given_pair(self):
         cb = generate_codebook("deact", 8)
-        ch = sample_channel(ChannelParams(8, 8, 2), np.random.default_rng(12))
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(13))
-        tx, rx = out.pair
-        assert adjudicate(out, ch, "match-exhaustive", (tx, rx))
-        assert not adjudicate(out, ch, "match-exhaustive", (tx % 8 + 1, rx))
+        block = drawn_block(ChannelParams(8, 8, 2), [12])
+        found = search(cb, cb, block, PowerModel.total(), [13]).pairs
+        other = found.copy()
+        other[:, 0] = other[:, 0] % 8 + 1
+        assert lockstep_adjudicate(found, block, "match-exhaustive", found).tolist() == [True]
+        assert lockstep_adjudicate(found, block, "match-exhaustive", other).tolist() == [False]
 
     def test_single_path_any_equals_strongest(self):
         cb = generate_codebook("bmw-ss", 16)
         pm = PowerModel.from_snr_db("total", 10.0)
-        params = ChannelParams(16, 16, 1)
-        for seed in range(50):
-            ch = sample_channel(params, np.random.default_rng((30, seed)))
-            out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((31, seed)))
-            best = exhaustive_search(ch, pm)[:2]
-            assert adjudicate(out, ch, "align-any-mpc", best) == adjudicate(
-                out, ch, "align-strongest", best
-            )
+        block = drawn_block(ChannelParams(16, 16, 1), [(30, seed) for seed in range(50)])
+        found = search(cb, cb, block, pm, [(31, seed) for seed in range(50)]).pairs
+        best, _ = lockstep_exhaustive(block, pm)
+        np.testing.assert_array_equal(
+            lockstep_adjudicate(found, block, "align-any-mpc", best),
+            lockstep_adjudicate(found, block, "align-strongest", best),
+        )
 
     def test_dominant_path_match_equals_strongest(self):
         # With a 40 dB dominant path and no noise the exhaustive winner is the
@@ -371,31 +404,27 @@ class TestAdjudication:
         cb = generate_codebook("bmw-ss", 32)
         pm = PowerModel.total(1.0, 0.0)
         params = ChannelParams(32, 32, 3, kind=ChannelKind.LOS, eta_db=40.0)
-        agree = 0
-        for seed in range(200):
-            ch = sample_channel(params, np.random.default_rng((40, seed)))
-            out = hierarchical_search(cb, cb, ch, pm, np.random.default_rng((41, seed)))
-            best = exhaustive_search(ch, pm)[:2]
-            agree += adjudicate(out, ch, "match-exhaustive", best) == adjudicate(
-                out, ch, "align-strongest", best
-            )
-        assert agree >= 198
+        block = drawn_block(params, [(40, seed) for seed in range(200)])
+        found = search(cb, cb, block, pm, [(41, seed) for seed in range(200)]).pairs
+        best, _ = lockstep_exhaustive(block, pm)
+        agree = lockstep_adjudicate(found, block, "match-exhaustive", best) == lockstep_adjudicate(
+            found, block, "align-strongest", best
+        )
+        assert np.count_nonzero(agree) >= 198
 
-    def test_trace_rows_follow_schema(self):
-        cb = generate_codebook("deact", 8)
-        ch = sample_channel(ChannelParams(8, 8, 1), np.random.default_rng(50))
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(51))
-        rows = out.trace
+    def test_trace_rows_follow_schema(self, monkeypatch, tmp_path):
+        rows = demo_trace(monkeypatch, tmp_path, "--n", "8", "--methods", "deact", "--paths", "1")
         assert len(rows) == 6
         assert len(TRACE_COLUMNS) == len(rows[0]) == 7
         assert rows[0][1] == "rx" and rows[-1][1] == "tx"
+        assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(TRACE_COLUMNS)
 
-    def test_trace_cells_are_python_scalars(self):
+    def test_trace_cells_are_python_scalars(self, monkeypatch, tmp_path):
         # The CSV writer formats floats with repr; a numpy scalar would
         # change the bytes.
-        cb = generate_codebook("bmw-ss", 16)
-        ch = sample_channel(ChannelParams(16, 16, 2), np.random.default_rng(52))
-        out = hierarchical_search(cb, cb, ch, PowerModel.total(), np.random.default_rng(53))
-        for row in out.trace:
+        rows = demo_trace(
+            monkeypatch, tmp_path, "--n", "16", "--methods", "bmw-ss", "--paths", "2"
+        )
+        for row in rows:
             assert row._fields == TRACE_COLUMNS
             assert [type(cell) for cell in row] == [int, str, int, int, int, float, float]
