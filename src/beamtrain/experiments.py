@@ -19,7 +19,6 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,11 +212,14 @@ def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def _run_chunked(worker, cfg: ExperimentConfig, out_arrays: tuple[np.ndarray, ...]) -> None:
     spans = _chunks(cfg.realizations, cfg.jobs)
-    if cfg.jobs == 1:
+    # The pool starts every worker up front: no more than chunks or cores.
+    max_workers = min(cfg.jobs, len(spans), os.cpu_count() or 1)
+    if max_workers == 1:
         parts = [worker((cfg, start, stop)) for start, stop in spans]
     else:
-        # The pool starts every worker up front: no more than chunks or cores.
-        max_workers = min(cfg.jobs, len(spans), os.cpu_count() or 1)
+        # Imported here so that a one-worker run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             parts = list(pool.map(worker, [(cfg, start, stop) for start, stop in spans]))
     for (start, stop), chunk in zip(spans, parts):

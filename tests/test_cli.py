@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -319,6 +320,32 @@ class TestProcessLevel:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_one_worker_run_never_loads_the_process_pool(self, tmp_path):
+        # A fresh interpreter, because pytest may already have loaded multiprocessing.
+        probe = (
+            "import json, sys\n"
+            "import beamtrain.cli\n"
+            "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+            "loaded = lambda: sorted(m for m in sys.modules"
+            " if m in pool or m.startswith('beamtrain.'))\n"
+            "after_import = loaded()\n"
+            "code = beamtrain.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, after_import, loaded()]))\n"
+        )
+        args = ["mc-success", "--n", "8", "--snr-grid", "10", "--realizations", "4",
+                "--jobs", "1", "--out", str(tmp_path / "a.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+        # Every beamtrain module loads with the CLI, so none is imported late.
+        expected = [f"beamtrain.{m}" for m in
+                    ("arrays", "channels", "cli", "codebooks", "experiments", "search")]
+        assert code == 0
+        assert after_import == expected
+        assert after_run == expected
 
     def test_byte_identical_csv_across_runs_and_jobs(self, tmp_path):
         args = [

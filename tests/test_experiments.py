@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -285,10 +286,10 @@ class TestWorkerClamp:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         base = dict(n_tx=8, n_rx=8, channel="nlos", snr_db=(10.0,),
                     realizations=realizations, seed=3)
         clamped = run_success_rate(ExperimentConfig(**base, jobs=jobs))
-        assert sizes == [want]
+        assert sizes == ([want] if want > 1 else [])  # one worker runs in process
         assert clamped.rows == run_success_rate(ExperimentConfig(**base)).rows
