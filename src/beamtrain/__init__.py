@@ -2,7 +2,6 @@
 
 from .arrays import (
     angle_grid,
-    beam_coverage,
     beam_gain,
     coverage_factor_rho,
     leaf_angles,
@@ -19,8 +18,7 @@ from .codebooks import (
     generate_codebook,
     generate_deact,
     load_codebook,
-    validate_criterion1,
-    validate_criterion2,
+    validate_codebook,
 )
 from .experiments import (
     ExperimentConfig,

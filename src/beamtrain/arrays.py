@@ -22,7 +22,6 @@ __all__ = [
     "leaf_angles",
     "beam_gain",
     "coverage_factor_rho",
-    "beam_coverage",
     "coverage_gains",
     "coverage_mask",
     "rotate",
@@ -226,9 +225,3 @@ def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
         raise ValueError("rho must lie strictly between 0 and 1")
     return gains > rho * gains.max(axis=-1, keepdims=True)
 
-
-def beam_coverage(w, rho: float, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Numerical beam coverage of the 1-D weight vector ``w``: the mask over
-    ``angle_grid(grid_points)`` of points with |A(w, omega)| > rho * peak |A|,
-    the peak taken over the grid."""
-    return coverage_mask(coverage_gains(w, grid_points)[0], rho)

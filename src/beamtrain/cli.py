@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from .arrays import DEFAULT_GRID_POINTS
-from .codebooks import (
-    export_codebook,
-    generate_codebook,
-    validate_criterion1,
-    validate_criterion2,
-)
+from .codebooks import export_codebook, generate_codebook, validate_codebook
 from .experiments import (
     _DEFAULT_SNR_GRID,
     DEFAULT_PATTERN_CODEWORDS,
@@ -68,22 +63,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key = value file providing defaults for this command")
 
 
-def _add_mc_options(parser: argparse.ArgumentParser) -> None:
+def _add_channel_options(parser: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
     parser.add_argument("--n-tx", type=int, default=64)
     parser.add_argument("--n-rx", type=int, default=64)
     parser.add_argument("--n", type=int, default=None,
                         help="shorthand setting both --n-tx and --n-rx")
-    parser.add_argument("--methods", type=_csv_methods, default=("bmw-ss", "deact"),
+    parser.add_argument("--methods", type=_csv_methods, default=methods,
                         help="comma-separated codebook methods to compare")
     parser.add_argument("--paths", type=int, default=3, help="number of multipath components")
     parser.add_argument("--eta-db", type=float, default=15.0,
                         help="dominant-to-diffuse path power gap for the los kind (dB)")
     parser.add_argument("--power-mode", choices=("total", "per-antenna"), default="total")
-    parser.add_argument("--realizations", "-r", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=None, help="CSV destination")
+
+
+def _add_mc_options(parser: argparse.ArgumentParser) -> None:
+    _add_channel_options(parser, ("bmw-ss", "deact"))
+    parser.add_argument("--realizations", "-r", type=int, default=1000)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes over realizations (results identical for any value)")
-    parser.add_argument("--out", type=Path, default=None, help="CSV destination")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cb.add_argument("--validate", action="store_true",
                       help="run the per-layer coverage and parent-child containment checks")
     p_cb.add_argument("--rho", type=float, default=0.5,
-                      help="coverage threshold for the validators")
+                      help="coverage threshold for the validator")
     p_cb.add_argument("--parent-rho", type=float, default=None,
                       help="override the per-beam parent threshold in the containment check")
     p_cb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run one search on one sampled channel")
     _add_common(p_search)
-    _add_mc_options(p_search)
+    _add_channel_options(p_search, ("bmw-ss",))
     p_search.add_argument("--channel", choices=("los", "nlos"), default="nlos")
     p_search.add_argument("--snr-db", type=float, default=40.0)
 
@@ -155,14 +154,16 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Turn config-file entries into leading CLI tokens so flags override them."""
-    if "--config" not in argv:
+    """Turn config-file entries into CLI tokens right after the subcommand,
+    so that explicit flags override them.  argparse finds ``--config`` in
+    any spelling it accepts, such as ``--config=FILE`` or ``--conf FILE``."""
+    finder = argparse.ArgumentParser(prog=f"beamtrain {argv[0]}", add_help=False)
+    _add_common(finder)
+    path = finder.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # argparse will report the missing value
     tokens: list[str] = []
-    for key, value in read_config_file(Path(argv[idx + 1])).items():
+    for key, value in read_config_file(path).items():
         flag = "--" + key.replace("_", "-")
         if flag in ("--validate", "--per-antenna"):
             word = value.lower()
@@ -188,9 +189,10 @@ def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfi
         eta_db=args.eta_db,
         power_mode=args.power_mode,
         snr_db=snr_db,
-        realizations=args.realizations,
+        # The search demo draws one realization in process.
+        realizations=getattr(args, "realizations", 1),
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -202,13 +204,12 @@ def _cmd_codebook(args) -> int:
         export_codebook(cb, args.out)
         print(f"wrote {args.out}")
     if args.validate:
-        rep1 = validate_criterion1(cb, rho=args.rho, grid_points=args.grid_points)
-        rep2 = validate_criterion2(
+        report = validate_codebook(
             cb, rho=args.rho, grid_points=args.grid_points, parent_rho=args.parent_rho
         )
-        for line in rep1.summary_lines() + rep2.summary_lines():
+        for line in report.summary_lines():
             print(line)
-        if not (rep1.passed and rep2.passed):
+        if not report.passed:
             print("validation: FAIL")
             return 1
         print("validation: PASS")

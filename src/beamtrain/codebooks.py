@@ -1,4 +1,4 @@
-"""Binary-tree hierarchical beam codebooks and their coverage validators.
+"""Binary-tree hierarchical beam codebooks and their coverage validator.
 
 Two constructions are provided for power-of-two array sizes:
 
@@ -27,6 +27,7 @@ from .arrays import (
     MAX_GRID_CELLS,
     active_counts,
     angle_grid,
+    check_grid,
     coverage_factor_rho,
     coverage_gains,
     coverage_mask,
@@ -41,10 +42,8 @@ __all__ = [
     "generate_codebook",
     "generate_deact",
     "generate_bmw_ss",
-    "validate_criterion1",
-    "validate_criterion2",
-    "Criterion1Report",
-    "Criterion2Report",
+    "validate_codebook",
+    "CoverageReport",
     "export_codebook",
     "load_codebook",
 ]
@@ -179,133 +178,84 @@ def generate_codebook(method: CodebookMethod | str, n: int) -> Codebook:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayerReport:
-    layer: int
-    passed: bool
-    uncovered: np.ndarray = field(repr=False)
+@dataclass(frozen=True, eq=False)
+class CoverageReport:
+    """Both design criteria of a codebook, checked at coverage threshold ``rho``.
 
-    @property
-    def n_uncovered(self) -> int:
-        return int(self.uncovered.size)
-
-
-@dataclass(frozen=True)
-class Criterion1Report:
-    """Per-layer full-domain coverage check."""
+    ``uncovered[k]`` holds the grid points that no row of layer k covers
+    (criterion 1).  ``violations[k][i]`` holds the points that parent row i of
+    layer k covers and its two children do not (criterion 2).
+    """
 
     rho: float
-    layers: tuple[LayerReport, ...]
+    uncovered: tuple[np.ndarray, ...] = field(repr=False)
+    violations: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
 
     @property
     def passed(self) -> bool:
-        return all(rep.passed for rep in self.layers)
+        return not any(gap.size for gap in self.uncovered) and not any(
+            points.size for parents in self.violations for points in parents
+        )
 
     def summary_lines(self) -> list[str]:
         lines = []
-        for rep in self.layers:
-            status = "pass" if rep.passed else f"FAIL ({rep.n_uncovered} uncovered points)"
-            lines.append(f"criterion 1, layer {rep.layer}: {status}")
-        return lines
-
-
-@dataclass(frozen=True)
-class ParentReport:
-    layer: int
-    index: int
-    passed: bool
-    violations: np.ndarray = field(repr=False)
-
-    @property
-    def n_violations(self) -> int:
-        return int(self.violations.size)
-
-
-@dataclass(frozen=True)
-class Criterion2Report:
-    """Per-parent check that the children's coverage contains the parent's."""
-
-    rho: float
-    parents: tuple[ParentReport, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(rep.passed for rep in self.parents)
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        by_layer: dict[int, list[ParentReport]] = {}
-        for rep in self.parents:
-            by_layer.setdefault(rep.layer, []).append(rep)
-        for layer, reps in sorted(by_layer.items()):
-            bad = [rep for rep in reps if not rep.passed]
+        for k, gap in enumerate(self.uncovered):
+            status = "pass" if gap.size == 0 else f"FAIL ({gap.size} uncovered points)"
+            lines.append(f"criterion 1, layer {k}: {status}")
+        for k, parents in enumerate(self.violations):
+            bad = [points.size for points in parents if points.size]
             if bad:
-                worst = max(rep.n_violations for rep in bad)
                 lines.append(
-                    f"criterion 2, layer {layer}: FAIL "
-                    f"({len(bad)} of {len(reps)} parents, worst {worst} points)"
+                    f"criterion 2, layer {k}: FAIL "
+                    f"({len(bad)} of {len(parents)} parents, worst {max(bad)} points)"
                 )
             else:
-                lines.append(f"criterion 2, layer {layer}: pass ({len(reps)} parents)")
+                lines.append(f"criterion 2, layer {k}: pass ({len(parents)} parents)")
         return lines
 
 
-def validate_criterion1(
-    cb: Codebook, rho: float = 0.5, grid_points: int = DEFAULT_GRID_POINTS
-) -> Criterion1Report:
-    """Check that each layer's codewords jointly cover every grid point."""
-    unions = [
-        coverage_mask(coverage_gains(layer, grid_points), rho).any(axis=0) for layer in cb.layers
-    ]
-    points = angle_grid(grid_points)
-    reports = []
-    for k, union in enumerate(unions):
-        uncovered = points[~union]
-        reports.append(LayerReport(layer=k, passed=uncovered.size == 0, uncovered=uncovered))
-    return Criterion1Report(rho=rho, layers=tuple(reports))
-
-
-def validate_criterion2(
+def validate_codebook(
     cb: Codebook,
     rho: float = 0.5,
     grid_points: int = DEFAULT_GRID_POINTS,
     parent_rho: float | None = None,
-) -> Criterion2Report:
-    """Check that every parent's coverage sits inside its children's union.
+) -> CoverageReport:
+    """Check both design criteria from one coverage FFT per layer.
 
-    The children are measured at the tolerant threshold ``rho``.  Each
-    parent's own claimed coverage is measured at ``parent_rho`` when given,
-    otherwise at the parent's analytic coverage factor
-    ``coverage_factor_rho(active_count)``.  Beams of different widths carry
-    different coverage factors, and holding parent and children to one common
-    tolerant threshold would inflate the parent's shoulders faster than the
-    children's; the per-beam factor is the threshold at which a steered
-    beam's coverage equals its designed width.
+    Criterion 1: each layer's rows jointly cover every grid point at ``rho``.
+    Criterion 2: every parent's coverage sits inside its two children's
+    union.  The children are the layer's own rows at ``rho``.  Each parent's
+    claimed coverage is measured at ``parent_rho`` when given, otherwise at
+    the parent's analytic coverage factor ``coverage_factor_rho(active_count)``.
+    Beams of different widths carry different coverage factors, and holding
+    parent and children to one common tolerant threshold would inflate the
+    parent's shoulders faster than the children's; the per-beam factor is the
+    threshold at which a steered beam's coverage equals its designed width.
     """
-    parent_gains = coverage_gains(cb.layers[0], grid_points)
+    check_grid(grid_points, cb.n)  # refuse an oversized grid before angle_grid builds it
     points = angle_grid(grid_points)
-    reports = []
-    for k in range(cb.depth):
-        child_gains = coverage_gains(cb.layers[k + 1], grid_points)
-        child_mask = coverage_mask(child_gains, rho)
-        for i, (active, gains) in enumerate(zip(cb.active_counts[k], parent_gains)):
-            if parent_rho is not None:
-                p_rho = parent_rho
-            elif active > 1:
-                p_rho = coverage_factor_rho(int(active))
-            else:
-                # A single active antenna radiates a flat pattern; its
-                # coverage is the whole domain at any threshold below one.
-                p_rho = rho
-            union = child_mask[2 * i] | child_mask[2 * i + 1]
-            violations = points[coverage_mask(gains, p_rho) & ~union]
-            reports.append(
-                ParentReport(
-                    layer=k, index=i + 1, passed=violations.size == 0, violations=violations
-                )
-            )
-        parent_gains = child_gains
-    return Criterion2Report(rho=rho, parents=tuple(reports))
+    uncovered, violations = [], []
+    parent_gains = None
+    for k, layer in enumerate(cb.layers):
+        gains = coverage_gains(layer, grid_points)
+        mask = coverage_mask(gains, rho)
+        uncovered.append(points[~mask.any(axis=0)])
+        if k:
+            children = mask[0::2] | mask[1::2]
+            parents = []
+            for active, p_gains, union in zip(cb.active_counts[k - 1], parent_gains, children):
+                if parent_rho is not None:
+                    p_rho = parent_rho
+                elif active > 1:
+                    p_rho = coverage_factor_rho(int(active))
+                else:
+                    # A single active antenna radiates a flat pattern; its
+                    # coverage is the whole domain at any threshold below one.
+                    p_rho = rho
+                parents.append(points[coverage_mask(p_gains, p_rho) & ~union])
+            violations.append(tuple(parents))
+        parent_gains = gains
+    return CoverageReport(rho=rho, uncovered=tuple(uncovered), violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

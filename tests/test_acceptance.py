@@ -18,7 +18,6 @@ from beamtrain import (
     ChannelParams,
     ExperimentConfig,
     PowerModel,
-    beam_coverage,
     coverage_factor_rho,
     draw_paths,
     generate_bmw_ss,
@@ -29,10 +28,10 @@ from beamtrain import (
     run_received_power,
     run_success_rate,
     subarray_phase_objective,
-    validate_criterion1,
-    validate_criterion2,
+    validate_codebook,
 )
 from beamtrain import search
+from beamtrain.arrays import coverage_gains, coverage_mask
 from beamtrain.search import PathBlock, lockstep_exhaustive, lockstep_search
 
 GRID_POINTS = 4096
@@ -65,11 +64,10 @@ def test_criterion_02_criteria_validation_rho_half():
     for n in (8, 16, 32, 64, 128):
         for gen in (generate_deact, generate_bmw_ss):
             cb = gen(n)
-            r1 = validate_criterion1(cb, rho=0.5, grid_points=GRID_POINTS)
-            r2 = validate_criterion2(cb, rho=0.5, grid_points=GRID_POINTS)
-            if not (r1.passed and r2.passed):
-                worst1 = max(rep.n_uncovered for rep in r1.layers)
-                worst2 = max(rep.n_violations for rep in r2.parents)
+            report = validate_codebook(cb, rho=0.5, grid_points=GRID_POINTS)
+            if not report.passed:
+                worst1 = max(gap.size for gap in report.uncovered)
+                worst2 = max(points.size for parents in report.violations for points in parents)
                 failures.append(f"{cb.method.value}/N={n} (c1:{worst1} c2:{worst2} pts)")
     gate(
         "2 criteria validation at rho=0.5",
@@ -84,8 +82,8 @@ def test_criterion_03_rotation_shifts_coverage():
     for _ in range(50):
         w = random_awv(32, rng)
         psi = rng.uniform(-2.0, 2.0)
-        base = beam_coverage(w, 0.5, GRID_POINTS)
-        rot = beam_coverage(rotate(w, psi), 0.5, GRID_POINTS)
+        base = coverage_mask(coverage_gains(w, GRID_POINTS)[0], 0.5)
+        rot = coverage_mask(coverage_gains(rotate(w, psi), GRID_POINTS)[0], 0.5)
         shifted = np.roll(base, round(psi * GRID_POINTS / 2))
 
         def dilate(mask):

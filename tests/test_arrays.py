@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from beamtrain import (
     angle_grid,
-    beam_coverage,
     beam_gain,
     coverage_factor_rho,
     leaf_angles,
@@ -21,7 +20,13 @@ from beamtrain.arrays import (
     MAX_GRID_POINTS,
     check_grid,
     coverage_gains,
+    coverage_mask,
 )
+
+
+def single_coverage(w, rho, grid_points=DEFAULT_GRID_POINTS):
+    """Coverage mask of the one weight vector ``w`` on ``angle_grid(grid_points)``."""
+    return coverage_mask(coverage_gains(w, grid_points)[0], rho)
 
 
 def brute_force_gain(weights, omega):
@@ -184,8 +189,8 @@ class TestRotate:
             w = random_awv(16, rng)
             steps = int(rng.integers(m))
             psi = steps * 2.0 / m
-            cov = beam_coverage(w, 0.5, m)
-            cov_rot = beam_coverage(rotate(w, psi), 0.5, m)
+            cov = single_coverage(w, 0.5, m)
+            cov_rot = single_coverage(rotate(w, psi), 0.5, m)
             np.testing.assert_array_equal(cov_rot, np.roll(cov, steps))
 
 
@@ -200,13 +205,13 @@ def covered_span(mask):
 class TestBeamCoverage:
     def test_steering_coverage_matches_beam_width(self):
         step = 2.0 / DEFAULT_GRID_POINTS
-        cov = beam_coverage(steering_weights(16, 0.0), coverage_factor_rho(16))
+        cov = single_coverage(steering_weights(16, 0.0), coverage_factor_rho(16))
         lo, hi = covered_span(cov)
         assert lo == pytest.approx(-1.0 / 16.0, abs=2 * step)
         assert hi == pytest.approx(1.0 / 16.0, abs=2 * step)
 
     def test_high_threshold_collapses_to_peak(self):
-        cov = beam_coverage(steering_weights(16, 0.0), 0.999)
+        cov = single_coverage(steering_weights(16, 0.0), 0.999)
         pts = angle_grid()[cov]
         assert pts.size < 20
         assert np.all(np.abs(pts) < 0.01)
@@ -219,7 +224,7 @@ class TestBeamCoverage:
         rho = coverage_factor_rho(4)
         gains = np.array([abs(brute_force_gain(w, om)) for om in angle_grid()])
         want_mask = gains > rho * gains.max()
-        cov = beam_coverage(w, rho)
+        cov = single_coverage(w, rho)
         np.testing.assert_array_equal(cov, want_mask)
         lo, hi = covered_span(cov)
         assert lo == pytest.approx(-1.0, abs=2 * step)
@@ -227,11 +232,11 @@ class TestBeamCoverage:
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="too coarse"):
-            beam_coverage(steering_weights(64, 0.0), 0.5, 64)
+            single_coverage(steering_weights(64, 0.0), 0.5, 64)
         # Eight points per steering beam width is the least accepted.
-        assert beam_coverage(steering_weights(64, 0.0), 0.5, 8 * 64).shape == (512,)
+        assert single_coverage(steering_weights(64, 0.0), 0.5, 8 * 64).shape == (512,)
         with pytest.raises(ValueError, match="too coarse"):
-            beam_coverage(steering_weights(64, 0.0), 0.5, 8 * 64 - 1)
+            single_coverage(steering_weights(64, 0.0), 0.5, 8 * 64 - 1)
 
     @pytest.mark.parametrize("grid_points", [1, MAX_GRID_POINTS + 1, 10**11])
     def test_rejects_grid_size_before_allocating(self, grid_points):
@@ -249,7 +254,7 @@ class TestBeamCoverage:
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            beam_coverage(steering_weights(4, 0.0), 1.0)
+            single_coverage(steering_weights(4, 0.0), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -104,6 +104,17 @@ class TestSearchCommand:
     def test_requires_single_method(self, capsys):
         assert run_cli("search", "--n", "16", "--methods", "bmw-ss,deact") == 2
 
+    def test_default_method_is_bmw_ss(self, capsys):
+        assert run_cli("search", "--n", "8", "--channel", "los", "--seed", "7") == 0
+        assert capsys.readouterr().out == PINNED_SEARCH_STDOUT
+
+    @pytest.mark.parametrize("option", [("-r", "0"), ("--realizations", "5"), ("--jobs", "2")])
+    def test_rejects_monte_carlo_options(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--n", "8", *option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMonteCarloCommands:
     def test_mc_success_smoke(self, tmp_path):
@@ -296,6 +307,33 @@ class TestConfigFile:
         cfg.write_text("validate = maybe\n")
         assert run_cli("codebook", "--config", str(cfg), "--method", "deact", "--n", "16") == 2
         assert "validate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
+    def test_config_in_any_spelling_is_read(self, spelling, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("validate = true\n")
+        flag = [token.format(cfg) for token in spelling]
+        assert run_cli("codebook", "--method", "deact", "--n", "8", *flag) == 0
+        assert "validation: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", [("--config={}",), ("--config", "{}"), ("--conf", "{}")])
+    def test_missing_config_file_exits_2(self, spelling, tmp_path, capsys):
+        flag = [token.format(tmp_path / "missing.cfg") for token in spelling]
+        assert run_cli("codebook", "--method", "deact", "--n", "8", *flag) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_can_supply_required_options(self, tmp_path, capsys):
+        cfg = tmp_path / "cb.cfg"
+        cfg.write_text("method = deact\nn = 8\nvalidate = on\n")
+        assert run_cli("codebook", "--config", str(cfg)) == 0
+        assert "validation: PASS" in capsys.readouterr().out
+
+    def test_search_config_naming_monte_carlo_options_exits_2(self, tmp_path):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("realizations = 10\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--n", "8", "--config", str(cfg))
+        assert exc.value.code == 2
 
     def test_malformed_config_line_errors(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

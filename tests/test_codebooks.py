@@ -15,10 +15,10 @@ from beamtrain import (
     load_codebook,
     rotate,
     steering_weights,
-    validate_criterion1,
-    validate_criterion2,
+    validate_codebook,
 )
-from beamtrain.arrays import MAX_GRID_CELLS, steering_matrix
+from beamtrain.arrays import MAX_GRID_CELLS, coverage_gains, steering_matrix
+from beamtrain.cli import main
 from beamtrain.codebooks import check_array_size
 
 GRID_POINTS = 4096
@@ -39,6 +39,7 @@ def reference_reports(cb, gains, rho, parent_rho):
         uncovered.append(POINTS[~union])
     violations = []
     for k in range(cb.depth):
+        parents = []
         for i, (active, g) in enumerate(zip(cb.active_counts[k], gains[k])):
             if parent_rho is not None:
                 p_rho = parent_rho
@@ -47,7 +48,8 @@ def reference_reports(cb, gains, rho, parent_rho):
             else:
                 p_rho = rho
             union = mask(gains[k + 1][2 * i], rho) | mask(gains[k + 1][2 * i + 1], rho)
-            violations.append(POINTS[mask(g, p_rho) & ~union])
+            parents.append(POINTS[mask(g, p_rho) & ~union])
+        violations.append(parents)
     return uncovered, violations
 
 
@@ -186,9 +188,10 @@ class TestSharedStructure:
 class TestCriterionValidation:
     @pytest.mark.parametrize("n", [8, 32])
     def test_deact_passes_both_criteria(self, n):
-        cb = generate_deact(n)
-        assert validate_criterion1(cb, 0.5, GRID_POINTS).passed
-        assert validate_criterion2(cb, 0.5, GRID_POINTS).passed
+        report = validate_codebook(generate_deact(n), 0.5, GRID_POINTS)
+        assert not any(gap.size for gap in report.uncovered)
+        assert not any(points.size for parents in report.violations for points in parents)
+        assert report.passed
 
     def test_missing_leaf_fails_with_gap(self):
         cb = generate_deact(16)
@@ -197,9 +200,9 @@ class TestCriterionValidation:
         leaves = cb.layers[-1].copy()
         leaves[4] = leaves[3]
         broken = Codebook(n=16, method=cb.method, layers=cb.layers[:-1] + (leaves,))
-        report = validate_criterion1(broken, 0.5, GRID_POINTS)
+        report = validate_codebook(broken, 0.5, GRID_POINTS)
         assert not report.passed
-        gap = report.layers[-1].uncovered
+        gap = report.uncovered[-1]
         assert gap.size > 0
         width = gap.max() - gap.min()
         assert width == pytest.approx(2 / 16, abs=0.05)
@@ -209,7 +212,11 @@ class TestCriterionValidation:
         # Exchange the two children subtending different halves of the domain.
         layer1 = cb.layers[1][::-1]
         broken = Codebook(n=16, method=cb.method, layers=(cb.layers[0], layer1) + cb.layers[2:])
-        assert not validate_criterion2(broken, 0.5, GRID_POINTS).passed
+        report = validate_codebook(broken, 0.5, GRID_POINTS)
+        assert not report.passed
+        # Each layer alone still covers the domain; only containment fails.
+        assert not any(gap.size for gap in report.uncovered)
+        assert any(points.size for parents in report.violations for points in parents)
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -219,36 +226,54 @@ class TestCriterionValidation:
         for rho in (0.5, 0.25):
             for parent_rho in (None, 0.5):
                 uncovered, violations = reference_reports(cb, gains, rho, parent_rho)
-                rep1 = validate_criterion1(cb, rho, GRID_POINTS)
-                rep2 = validate_criterion2(cb, rho, GRID_POINTS, parent_rho=parent_rho)
-                assert len(rep1.layers) == len(uncovered)
-                for rep, want in zip(rep1.layers, uncovered):
-                    np.testing.assert_array_equal(rep.uncovered, want)
-                    assert rep.passed == (want.size == 0)
-                assert len(rep2.parents) == len(violations)
-                for rep, want in zip(rep2.parents, violations):
-                    np.testing.assert_array_equal(rep.violations, want)
-                    assert rep.passed == (want.size == 0)
+                report = validate_codebook(cb, rho, GRID_POINTS, parent_rho=parent_rho)
+                assert report.rho == rho
+                assert len(report.uncovered) == len(uncovered)
+                for got, want in zip(report.uncovered, uncovered):
+                    np.testing.assert_array_equal(got, want)
+                assert len(report.violations) == len(violations)
+                for got_layer, want_layer in zip(report.violations, violations):
+                    assert len(got_layer) == len(want_layer)
+                    for got, want in zip(got_layer, want_layer):
+                        np.testing.assert_array_equal(got, want)
+                clean = not any(want.size for want in uncovered) and not any(
+                    want.size for layer in violations for want in layer
+                )
+                assert report.passed == clean
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_bmw_ss_validates_at_native_threshold(self, n):
         # Sub-array beams cross over near 0.3-0.4 of their peak, below the
         # steering-beam coverage factor, so 0.25 is their working threshold.
-        cb = generate_bmw_ss(n)
-        report1 = validate_criterion1(cb, 0.25, GRID_POINTS)
-        for rep in report1.layers[1:]:
-            assert rep.passed
-        assert validate_criterion2(cb, 0.25, GRID_POINTS).passed
+        report = validate_codebook(generate_bmw_ss(n), 0.25, GRID_POINTS)
+        for gap in report.uncovered[1:]:
+            assert gap.size == 0
+        assert not any(points.size for parents in report.violations for points in parents)
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_bmw_ss_root_null_at_domain_seam(self, n):
         # The inter-sub-array phase progression cannot close around the
         # period-2 circle, leaving an exact null at omega = +/-1; the root
         # layer therefore never covers the seam neighbourhood.
-        cb = generate_bmw_ss(n)
-        rep = validate_criterion1(cb, 0.25, GRID_POINTS).layers[0]
-        assert not rep.passed
-        assert np.all(np.abs(rep.uncovered) > 0.9)
+        gap = validate_codebook(generate_bmw_ss(n), 0.25, GRID_POINTS).uncovered[0]
+        assert gap.size > 0
+        assert np.all(np.abs(gap) > 0.9)
+
+    @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+    def test_one_coverage_fft_per_layer(self, method, monkeypatch):
+        calls = []
+
+        def counted(weights, grid_points):
+            calls.append(len(weights))
+            return coverage_gains(weights, grid_points)
+
+        monkeypatch.setattr("beamtrain.codebooks.coverage_gains", counted)
+        cb = generate_codebook(method, 32)
+        validate_codebook(cb, 0.5, GRID_POINTS, parent_rho=0.5)
+        assert calls == [2**k for k in range(cb.depth + 1)]
+        calls.clear()
+        main(["codebook", "--method", method, "--n", "32", "--validate"])
+        assert calls == [2**k for k in range(cb.depth + 1)]
 
 
 class TestExport:
