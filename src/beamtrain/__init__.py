@@ -5,10 +5,8 @@ from .arrays import (
     beam_gain,
     coverage_factor_rho,
     leaf_angles,
-    random_awv,
     rotate,
     steering_weights,
-    subarray_phase_objective,
 )
 from .channels import ChannelKind, ChannelParams, draw_paths
 from .codebooks import (

@@ -25,8 +25,6 @@ __all__ = [
     "coverage_gains",
     "coverage_mask",
     "rotate",
-    "subarray_phase_objective",
-    "random_awv",
 ]
 
 # Relative slack for the constant-amplitude check; generated vectors are exact
@@ -141,36 +139,6 @@ def rotate(w, psi: float) -> np.ndarray:
         raise ValueError("weights must be a 1-D array")
     active_counts(w)
     return w * np.exp(1j * np.pi * np.arange(w.size) * psi)
-
-
-def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:
-    """Edge-gain objective for two adjacent equally sized sub-array beams.
-
-    Returns ``S* + exp(j*delta_theta)*S`` with ``S = sum_i exp(j*pi*(i-1)/n_sub)``,
-    the combined gain of two neighbouring sub-beams at their crossover angle
-    when their scalar phases differ by delta_theta.  Maximizing its modulus
-    over delta_theta picks the inter-sub-array phase that removes the
-    crossover dip; the maximizer is ``delta_theta = -pi*(n_sub-1)/n_sub``
-    (mod 2*pi).  Requires an even sub-array size.
-    """
-    if n_sub < 2 or n_sub % 2 != 0:
-        raise ValueError("sub-array size must be a positive even integer")
-    s = np.exp(1j * np.pi * np.arange(n_sub) / n_sub).sum()
-    return complex(np.conj(s) + np.exp(1j * delta_theta) * s)
-
-
-def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -> np.ndarray:
-    """Random member of the weight set: random on/off pattern, uniform phases.
-
-    At least one antenna is always active.
-    """
-    if n < 1:
-        raise ValueError("array size must be a positive integer")
-    active = rng.random(n) < activation_prob
-    if not active.any():
-        active[int(rng.integers(n))] = True
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-    return np.where(active, phases / math.sqrt(int(active.sum())), 0.0)
 
 
 def check_grid(grid_points: int, n: int = 1) -> None:

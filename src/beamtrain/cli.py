@@ -41,7 +41,10 @@ __all__ = ["main", "entrypoint"]
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _csv_methods(text: str) -> tuple[str, ...]:
@@ -49,13 +52,11 @@ def _csv_methods(text: str) -> tuple[str, ...]:
 
 
 def _codeword_list(text: str):
-    pairs = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        k, n = chunk.split(",")
-        pairs.append((int(k), int(n)))
-    return tuple(pairs)
+    pairs = [chunk.split(",") for chunk in text.split(";") if chunk.strip()]
+    try:
+        return tuple((int(k), int(n)) for k, n in pairs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected layer,index;layer,index, got {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -49,7 +49,6 @@ __all__ = [
     "run_beam_patterns",
     "run_received_power",
     "run_success_rate",
-    "draw_realization",
     "POWER_COLUMNS",
     "SUCCESS_COLUMNS",
     "DEFAULT_PATTERN_CODEWORDS",
@@ -227,22 +226,6 @@ def _run_chunked(worker, cfg: ExperimentConfig, out_arrays: tuple[np.ndarray, ..
             dest[start:stop] = src
 
 
-def draw_realization(
-    cfg: ExperimentConfig, kind: ChannelKind, entropy: tuple[int, ...]
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.random.SeedSequence]:
-    """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
-    two children; the first draws the paths (:func:`draw_paths`), the second
-    seeds the search noise, which every method reuses.  Returns the paths
-    ``(coeff, omega, psi)`` and the noise seed.
-
-    The noise is one ``standard_normal(4 * n_rx * n_steps)`` call from
-    ``default_rng(noise_seed)``, read as (stage, child, re/im, n_rx): per
-    stage and candidate (lower child first), the real then the imaginary
-    parts of the receive noise."""
-    channel_ss, noise_ss = np.random.SeedSequence(entropy=entropy).spawn(2)
-    return draw_paths(cfg.channel_params(kind), np.random.default_rng(channel_ss)), noise_ss
-
-
 def _blocks(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple[int, int]]:
     """Realizations start..stop-1 in blocks whose noise and path responses
     fit MAX_BLOCK_CELLS float64 cells (one realization at least)."""
@@ -251,21 +234,71 @@ def _blocks(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple[int, int
     return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
-def _draw_block(
-    cfg: ExperimentConfig, kind: ChannelKind, entropies
-) -> tuple[PathBlock, list[np.random.SeedSequence]]:
-    """The paths of a block's realizations and their noise seeds."""
-    drawn = [draw_realization(cfg, kind, entropy) for entropy in entropies]
-    coeff, omega, psi = (np.stack(column) for column in zip(*(p for p, _ in drawn)))
-    return PathBlock(coeff, omega, psi, cfg.n_tx, cfg.n_rx), [ss for _, ss in drawn]
+def _spawned_states(entropies) -> tuple[list, list]:
+    """The PCG64 ``(state, inc)`` of the two children of each entropy's
+    ``SeedSequence(entropy).spawn(2)``, by NumPy's seeding arithmetic run on a
+    whole block at once.  As in NumPy, each int becomes its 32-bit words, low
+    first (a 0 is one word), padded with zeros to the pool's 4 words before
+    the spawn key 0 or 1; uint32 arrays wrap as NumPy's arithmetic does."""
+    words = [
+        [x >> s & 0xFFFFFFFF for x in entropy for s in range(0, x.bit_length() or 1, 32)]
+        for entropy in entropies
+    ]
+    keyed = [row + [0] * (4 - len(row)) + [key] for key in (0, 1) for row in words]
+    length = np.array(list(map(len, keyed)))  # a row mixes in only its own words
+    width = int(length.max())
+    columns = list(np.array([row + [0] * (width - len(row)) for row in keyed], np.uint32).T)
+    const = [0x43B0D7E5, 0x931E8875]  # the hash constant and its multiplier
+
+    def hashmix(value):
+        value, const[0] = value ^ const[0], const[0] * const[1] & 0xFFFFFFFF
+        value = value * const[0]
+        return value ^ value >> 16
+
+    # Hash 4 words into the pool; mix each pool word into the 3 others, each later word into all 4.
+    pool = list(map(hashmix, columns[:4])) + columns[4:]
+    for src, dst in [(s, d) for s in range(len(columns)) for d in range(4) if s != d]:
+        mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+        pool[dst] = np.where(src < length, mixed ^ mixed >> 16, pool[dst])
+    const[:] = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64): 8 words, little-endian
+    w = np.array(list(map(hashmix, pool[:4] * 2))).astype(object)  # as Python ints
+    w = w[0::2] | w[1::2] << 32
+    inc = (w[2] << 65 | w[3] << 1 | 1) % 2**128  # PCG64's srandom: two LCG steps from 0
+    state = ((inc + (w[0] << 64 | w[1])) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+    states = list(zip(state.tolist(), inc.tolist()))
+    return states[: len(entropies)], states[len(entropies) :]
+
+
+def _streams(states):
+    """One generator, set to each PCG64 ``(state, inc)`` in turn."""
+    rng = np.random.Generator(np.random.PCG64())  # its own seed is never drawn from
+    for state, inc in states:
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
+
+
+def _draw_block(cfg: ExperimentConfig, kind: ChannelKind, entropies) -> tuple[PathBlock, list]:
+    """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
+    two children; the first draws the paths (:func:`draw_paths`), the second
+    seeds the search noise, which every method reuses.  Returns a block's
+    paths and its noise streams, each seeded as NumPy seeds that child.
+
+    The noise is one ``standard_normal(4 * n_rx * n_steps)`` call from
+    ``default_rng(noise_seed)``, read as (stage, child, re/im, n_rx): per
+    stage and candidate (lower child first), the real then the imaginary
+    parts of the receive noise."""
+    channel, noise = _spawned_states(entropies)
+    paths = [draw_paths(cfg.channel_params(kind), rng) for rng in _streams(channel)]
+    coeff, omega, psi = (np.stack(column) for column in zip(*paths))
+    return PathBlock(coeff, omega, psi, cfg.n_tx, cfg.n_rx), noise
 
 
 def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:
-    """Each seed's noise draws (see :func:`draw_realization`), (B, n_steps,
-    2, 2, n_rx)."""
+    """Each noise stream's draws (see :func:`_draw_block`), (B, n_steps, 2, 2, n_rx)."""
     noise = np.empty((len(seeds), cfg.n_steps, 2, 2, cfg.n_rx))
-    for row, noise_ss in zip(noise, seeds):
-        np.random.default_rng(noise_ss).standard_normal(out=row.reshape(-1))
+    for row, rng in zip(noise, _streams(seeds)):
+        rng.standard_normal(out=row.reshape(-1))
     return noise
 
 

@@ -1,9 +1,13 @@
-"""Dense-matrix reference for the lockstep search engine.
+"""Dense-matrix reference for the lockstep search engine, and plain forms of
+what the package computes another way.
 
 A plain, independent form of one realization's search, exhaustive scan and
 adjudication: the channel is its N_rx x N_tx matrix, and each measurement is
 one matrix-vector product with its own noise draw.  Tests compare the engine
-against it.
+against it.  :func:`draw_realization` is the stream contract drawn with
+NumPy's own seeding objects, which the block seeding must match byte for
+byte; :func:`random_awv` and :func:`subarray_phase_objective` serve the
+weight-set and phase-design tests.
 """
 
 import math
@@ -11,6 +15,7 @@ import math
 import numpy as np
 
 from beamtrain.arrays import steering_matrix, steering_weights
+from beamtrain.channels import draw_paths
 from beamtrain.search import AdjudicationPolicy, nearest_leaf
 
 
@@ -76,3 +81,42 @@ def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):
     if policy is AdjudicationPolicy.ALIGN_STRONGEST:
         paths = [max(paths, key=lambda path: abs(path[0]))]
     return any(pair == (nearest_leaf(n_tx, p), nearest_leaf(n_rx, o)) for _, o, p in paths)
+
+
+def draw_realization(params, entropy, n_steps):
+    """One realization's paths ``(coeff, omega, psi)`` and its noise draws,
+    ``standard_normal(4 * n_rx * n_steps)``, from ``SeedSequence(entropy)``'s
+    two spawned children."""
+    channel_ss, noise_ss = np.random.SeedSequence(entropy).spawn(2)
+    paths = draw_paths(params, np.random.default_rng(channel_ss))
+    return paths, np.random.default_rng(noise_ss).standard_normal(4 * params.n_rx * n_steps)
+
+
+def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:
+    """Edge-gain objective for two adjacent equally sized sub-array beams.
+
+    Returns ``S* + exp(j*delta_theta)*S`` with ``S = sum_i exp(j*pi*(i-1)/n_sub)``,
+    the combined gain of two neighbouring sub-beams at their crossover angle
+    when their scalar phases differ by delta_theta.  Maximizing its modulus
+    over delta_theta picks the inter-sub-array phase that removes the
+    crossover dip; the maximizer is ``delta_theta = -pi*(n_sub-1)/n_sub``
+    (mod 2*pi).  Requires an even sub-array size.
+    """
+    if n_sub < 2 or n_sub % 2 != 0:
+        raise ValueError("sub-array size must be a positive even integer")
+    s = np.exp(1j * np.pi * np.arange(n_sub) / n_sub).sum()
+    return complex(np.conj(s) + np.exp(1j * delta_theta) * s)
+
+
+def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -> np.ndarray:
+    """Random member of the weight set: random on/off pattern, uniform phases.
+
+    At least one antenna is always active.
+    """
+    if n < 1:
+        raise ValueError("array size must be a positive integer")
+    active = rng.random(n) < activation_prob
+    if not active.any():
+        active[int(rng.integers(n))] = True
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+    return np.where(active, phases / math.sqrt(int(active.sum())), 0.0)

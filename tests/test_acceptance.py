@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from conftest import ACCEPTANCE_RESULTS
+from reference import random_awv, subarray_phase_objective
 
 from beamtrain import (
     ChannelParams,
@@ -23,11 +24,9 @@ from beamtrain import (
     generate_bmw_ss,
     generate_codebook,
     generate_deact,
-    random_awv,
     rotate,
     run_received_power,
     run_success_rate,
-    subarray_phase_objective,
     validate_codebook,
 )
 from beamtrain import search

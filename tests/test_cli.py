@@ -156,6 +156,21 @@ class TestBadInput:
         assert run_cli("mc-success", "--n", "8", "-r", "2", "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_bad_codewords_name_the_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pattern", "--method", "deact", "--n", "8", "--codewords", "9:1",
+                    "--out", str(tmp_path / "p.csv"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --codewords: expected layer,index;layer,index, got '9:1'" in err
+
+    def test_bad_snr_grid_names_the_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("mc-success", "--n", "8", "-r", "2", "--snr-grid", "1,x")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --snr-grid: expected comma-separated numbers, got '1,x'" in err
+
     def test_single_antenna_exits_2(self, capsys):
         assert run_cli("mc-power", "--n", "1", "--methods", "deact", "-r", "2") == 2
         assert "stage" in capsys.readouterr().err

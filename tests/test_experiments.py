@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from beamtrain import (
     ExperimentConfig,
     run_beam_patterns,
@@ -293,3 +296,61 @@ class TestWorkerClamp:
         clamped = run_success_rate(ExperimentConfig(**base, jobs=jobs))
         assert sizes == ([want] if want > 1 else [])  # one worker runs in process
         assert clamped.rows == run_success_rate(ExperimentConfig(**base)).rows
+
+
+# Entropy ints at, below and above the 32- and 64-bit word boundaries, zeros,
+# and ints of up to four words.
+entropy_ints = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1]),
+    st.integers(0, 2**128 - 1),
+)
+entropy_blocks = st.lists(
+    st.lists(entropy_ints, min_size=1, max_size=5).map(tuple), min_size=1, max_size=6
+)
+
+
+class TestStreams:
+    @settings(max_examples=80, deadline=None)
+    @given(block=entropy_blocks)
+    @example(block=[(7,)])  # the search demo's block of one, padded to 4 words
+    @example(block=[(1, 1, 0, 5), (2**40 + 3, 1, 0, 5), (0,), (2**64, 2**64 + 1, 0, 0, 3)])
+    def test_block_seeding_matches_numpy(self, block):
+        channel, noise = experiments._spawned_states(block)
+        for entropy, *states in zip(block, channel, noise):
+            children = np.random.SeedSequence(entropy).spawn(2)
+            for child, rng in zip(children, experiments._streams(states)):
+                want = np.random.default_rng(child)
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.standard_normal(4).tobytes() == want.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg, n_blocks",
+        [
+            (ExperimentConfig(n_tx=16, n_rx=128, channel="los", n_paths=5, realizations=12,
+                              seed=7), 1),
+            (ExperimentConfig(n_tx=16, n_rx=16, realizations=12, seed=2**40 + 3), 1),
+            (ExperimentConfig(realizations=150, seed=2), 3),  # N=64
+        ],
+    )
+    def test_blocks_equal_the_per_realization_draw(self, cfg, n_blocks):
+        kind = cfg.kinds[0]
+        blocks = experiments._blocks(cfg, 0, cfg.realizations)
+        assert len(blocks) == n_blocks
+        for lo, hi in blocks:
+            entropies = [(cfg.seed, experiments._KIND_ID[kind], 0, r) for r in range(lo, hi)]
+            block, seeds = experiments._draw_block(cfg, kind, entropies)
+            noise = experiments._noise_block(cfg, seeds)
+            for b, entropy in enumerate(entropies):
+                paths, want_noise = reference.draw_realization(
+                    cfg.channel_params(kind), entropy, cfg.n_steps
+                )
+                for got, want in zip((block.coeff, block.omega, block.psi), paths):
+                    assert got[b].tobytes() == want.tobytes()
+                assert noise[b].tobytes() == want_noise.tobytes()
+
+    def test_csv_bytes_match_across_jobs_at_a_multiword_seed(self, tmp_path):
+        base = dict(n_tx=16, n_rx=16, snr_db=(0.0, 20.0), realizations=24, seed=2**40 + 3)
+        paths = [tmp_path / f"jobs{jobs}.csv" for jobs in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            run_success_rate(ExperimentConfig(**base, jobs=jobs)).write_csv(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
