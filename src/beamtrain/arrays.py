@@ -126,19 +126,20 @@ def coverage_factor_rho(n: int) -> float:
     return float(np.abs(np.exp(1j * np.pi * np.arange(n) / n).sum()) / n)
 
 
-def rotate(w, psi: float) -> np.ndarray:
+def rotate(w, psi) -> np.ndarray:
     """Rotate the beam of ``w`` by psi in the cosine-angle domain.
 
     Entry k of the result is ``[w]_k * exp(j*pi*(k-1)*psi)``; zero entries
     stay zero and unit power is preserved, so the coverage of the result is
-    the coverage of ``w`` translated by psi (mod 2).  Raises ``ValueError``
-    unless ``w`` is 1-D and passes :func:`active_counts`.
+    the coverage of ``w`` translated by psi (mod 2).  A scalar psi gives one
+    rotated vector, a 1-D array of psi one row per psi.  Raises
+    ``ValueError`` unless ``w`` is 1-D and passes :func:`active_counts`.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 1:
         raise ValueError("weights must be a 1-D array")
     active_counts(w)
-    return w * np.exp(1j * np.pi * np.arange(w.size) * psi)
+    return w * np.exp(1j * np.pi * np.arange(w.size) * np.asarray(psi)[..., np.newaxis])
 
 
 def check_grid(grid_points: int, n: int = 1) -> None:

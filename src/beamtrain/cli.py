@@ -23,21 +23,20 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     _codebook_pairs,
-    _draw_block,
-    _noise_block,
+    _search_block,
     run_beam_patterns,
     run_received_power,
     run_success_rate,
 )
-from .search import (
-    TRACE_COLUMNS,
-    TraceRow,
-    lockstep_adjudicate,
-    lockstep_exhaustive,
-    lockstep_search,
-)
+from .search import lockstep_adjudicate
 
 __all__ = ["main", "entrypoint"]
+
+# The search demo's trace: per stage, the 1-based candidates measured, the one
+# kept, and its measured |y|^2 and noiseless power gain.
+TRACE_COLUMNS = (
+    "stage", "side", "candidate_1", "candidate_2", "winner", "y_power", "noiseless_gain",
+)
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -54,6 +53,8 @@ def _csv_methods(text: str) -> tuple[str, ...]:
 def _codeword_list(text: str):
     pairs = [chunk.split(",") for chunk in text.split(";") if chunk.strip()]
     try:
+        if not pairs:
+            raise ValueError("no codewords")
         return tuple((int(k), int(n)) for k, n in pairs)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected layer,index;layer,index, got {text!r}")
@@ -236,18 +237,18 @@ def _cmd_search(args) -> int:
     if len(cfg.methods) != 1:
         raise ValueError("the search demo takes exactly one --methods entry")
     pm = cfg.power_model(args.snr_db)
-    [(cb_tx, cb_rx)] = _codebook_pairs(cfg)
+    [(cb_tx, cb_rx)] = pairs = _codebook_pairs(cfg)
     # A Monte-Carlo block of one realization, whose entropy is the seed alone.
-    block, seeds = _draw_block(cfg, cfg.kinds[0], [(cfg.seed,)])
-    best_pairs, best_gains = lockstep_exhaustive(block, pm)
-    out = lockstep_search(cb_tx, cb_rx, block, pm, _noise_block(cfg, seeds))
+    block, (best_pairs, best_gains), [out] = _search_block(
+        cfg, cfg.kinds[0], pairs, pm, [(cfg.seed,)]
+    )
     trace = []
     # tolist() makes Python scalars, which the CSV writer formats with repr.
     stages = zip(out.winners[0].tolist(), out.y_power[0].tolist(), out.gains[0].tolist())
     for stage, (win, y_pow, gain) in enumerate(stages, start=1):
         lower = win - (win + 1) % 2  # the winner or its sibling: lower children are odd
         side = "rx" if stage <= cb_rx.depth else "tx"
-        trace.append(TraceRow(stage, side, lower, lower + 1, win, y_pow, gain))
+        trace.append((stage, side, lower, lower + 1, win, y_pow, gain))
     print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
           f"{'y_power':>12} {'gain':>12}")
     for stage, side, c1, c2, win, y_pow, gain in trace:

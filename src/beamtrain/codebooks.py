@@ -31,6 +31,7 @@ from .arrays import (
     coverage_factor_rho,
     coverage_gains,
     coverage_mask,
+    rotate,
     steering_matrix,
     steering_weights,
 )
@@ -114,12 +115,6 @@ class Codebook:
         return len(self.layers) - 1
 
 
-def _rotated_layer(first: np.ndarray, k: int) -> np.ndarray:
-    """Layer k from its first codeword: row i is ``rotate`` by psi = 2i/2^k."""
-    psi = 2.0 * np.arange(2**k) / 2**k
-    return first * np.exp(1j * np.pi * np.arange(first.size) * psi[:, np.newaxis])
-
-
 def generate_deact(n: int) -> Codebook:
     """Deactivation codebook: layer k steers 2^k antennas, zeros the rest.
 
@@ -133,7 +128,7 @@ def generate_deact(n: int) -> Codebook:
         size = 2**k
         first = np.zeros(n, dtype=np.complex128)
         first[:size] = steering_weights(size, -1.0 + 1.0 / size)
-        layers.append(_rotated_layer(first, k))
+        layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
     layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=CodebookMethod.DEACT, layers=tuple(layers))
 
@@ -161,7 +156,7 @@ def generate_bmw_ss(n: int) -> Codebook:
             sub = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)
             first[(m - 1) * n_sub : m * n_sub] = np.exp(1j * theta_m) * sub
         first /= np.linalg.norm(first)
-        layers.append(_rotated_layer(first, k))
+        layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
     layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=CodebookMethod.BMW_SS, layers=tuple(layers))
 

@@ -125,8 +125,8 @@ class ExperimentConfig:
             raise ValueError("jobs must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # The larger of the arrays a run fills up front: success flags per SNR
-        # point and policy, or winner powers per channel kind and step.
+        # The larger of a run's result arrays: success flags per SNR point and
+        # policy, or winner powers per channel kind and step.
         cells = self.realizations * len(self.methods) * max(
             len(self.snr_db) * len(POLICY_ORDER), len(self.kinds) * self.n_steps
         )
@@ -209,23 +209,6 @@ def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _run_chunked(worker, cfg: ExperimentConfig, out_arrays: tuple[np.ndarray, ...]) -> None:
-    spans = _chunks(cfg.realizations, cfg.jobs)
-    # The pool starts every worker up front: no more than chunks or cores.
-    max_workers = min(cfg.jobs, len(spans), os.cpu_count() or 1)
-    if max_workers == 1:
-        parts = [worker((cfg, start, stop)) for start, stop in spans]
-    else:
-        # Imported here so that a one-worker run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(worker, [(cfg, start, stop) for start, stop in spans]))
-    for (start, stop), chunk in zip(spans, parts):
-        for dest, src in zip(out_arrays, chunk):
-            dest[start:stop] = src
-
-
 def _blocks(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple[int, int]]:
     """Realizations start..stop-1 in blocks whose noise and path responses
     fit MAX_BLOCK_CELLS float64 cells (one realization at least)."""
@@ -302,37 +285,57 @@ def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:
     return noise
 
 
+def _search_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
+    """One block of realizations, one per entropy: its paths, the noiseless
+    oracle's (pairs, gains), and one lockstep search per codebook pair."""
+    block, seeds = _draw_block(cfg, kind, entropies)
+    oracle = lockstep_exhaustive(block, pm)
+    noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
+    return block, oracle, [lockstep_search(*pair, block, pm, noise) for pair in pairs]
+
+
+def _chunk(args) -> list[np.ndarray]:
+    """Realizations start..stop-1 of every (kind, power model, entropy prefix)
+    cell, each block reduced to arrays by ``reduce``; each array stacks the
+    cells on axis 1."""
+    cfg, cells, reduce, start, stop = args
+    pairs = _codebook_pairs(cfg)
+    per_cell = []
+    for kind, pm, prefix in cells:
+        blocks = []
+        for lo, hi in _blocks(cfg, start, stop):
+            entropies = [(*prefix, r) for r in range(lo, hi)]
+            blocks.append(reduce(pm, *_search_block(cfg, kind, pairs, pm, entropies)))
+        per_cell.append([np.concatenate(part) for part in zip(*blocks)])
+    return [np.stack(part, axis=1) for part in zip(*per_cell)]
+
+
+def _run_chunked(cfg: ExperimentConfig, cells, reduce) -> list[np.ndarray]:
+    """The run's :func:`_chunk` arrays over all its realizations, which the
+    pool splits into chunks when ``cfg.jobs`` > 1."""
+    spans = _chunks(cfg.realizations, cfg.jobs)
+    tasks = [(cfg, cells, reduce, start, stop) for start, stop in spans]
+    # The pool starts every worker up front: no more than chunks or cores.
+    max_workers = min(cfg.jobs, len(spans), os.cpu_count() or 1)
+    if max_workers == 1:
+        parts = list(map(_chunk, tasks))
+    else:
+        # Imported here so that a one-worker run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            parts = list(pool.map(_chunk, tasks))
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
 # ---------------------------------------------------------------------------
 # Received power per search step
 # ---------------------------------------------------------------------------
 
 
-def _power_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
-    """Exhaustive bounds (B,) and per-method winner powers (B, methods,
-    n_steps) of one block."""
-    block, seeds = _draw_block(cfg, kind, entropies)
-    _, bound_gains = lockstep_exhaustive(block, pm)
-    noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
-    winners = np.stack(
-        [lockstep_search(cb_tx, cb_rx, block, pm, noise).gains for cb_tx, cb_rx in pairs],
-        axis=1,
-    )
-    return pm.power * bound_gains, pm.power * winners
-
-
-def _power_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    cfg, start, stop = args
-    kinds = cfg.kinds
-    pairs = _codebook_pairs(cfg)
-    pm = cfg.power_model(cfg.snr_db[0])
-    winners = np.empty((stop - start, len(kinds), len(pairs), cfg.n_steps))
-    bounds = np.empty((stop - start, len(kinds)))
-    for ki, kind in enumerate(kinds):
-        for lo, hi in _blocks(cfg, start, stop):
-            entropies = [(cfg.seed, _KIND_ID[kind], r) for r in range(lo, hi)]
-            rows = slice(lo - start, hi - start)
-            bounds[rows, ki], winners[rows, ki] = _power_block(cfg, kind, pairs, pm, entropies)
-    return winners, bounds
+def _power_reduce(pm: PowerModel, block, oracle, outcomes):
+    """Exhaustive bounds (B,) and per-method winner powers (B, methods, n_steps)."""
+    return pm.power * oracle[1], pm.power * np.stack([out.gains for out in outcomes], axis=1)
 
 
 def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
@@ -347,9 +350,9 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("received-power runs use exactly one SNR point")
     t0 = time.monotonic()
     kinds = cfg.kinds
-    winners = np.empty((cfg.realizations, len(kinds), len(cfg.methods), cfg.n_steps))
-    bounds = np.empty((cfg.realizations, len(kinds)))
-    _run_chunked(_power_chunk, cfg, (winners, bounds))
+    pm = cfg.power_model(cfg.snr_db[0])
+    cells = [(kind, pm, (cfg.seed, _KIND_ID[kind])) for kind in kinds]
+    bounds, winners = _run_chunked(cfg, cells, _power_reduce)
 
     rows: list[tuple] = []
     stats: dict = {"bound_db": {}, "bound_w": {}, "power": {}}
@@ -400,32 +403,11 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _success_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
-    """Success flags of one block, (B, methods, policies)."""
-    block, seeds = _draw_block(cfg, kind, entropies)
-    best_pairs, _ = lockstep_exhaustive(block, pm)
-    noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
-    flags = np.empty((len(entropies), len(pairs), len(POLICY_ORDER)), dtype=bool)
-    for mi, (cb_tx, cb_rx) in enumerate(pairs):
-        found = lockstep_search(cb_tx, cb_rx, block, pm, noise).pairs
-        for pi, policy in enumerate(POLICY_ORDER):
-            flags[:, mi, pi] = lockstep_adjudicate(found, block, policy, best_pairs)
-    return flags
-
-
-def _success_chunk(args) -> tuple[np.ndarray]:
-    cfg, start, stop = args
-    kind = cfg.kinds[0]
-    pairs = _codebook_pairs(cfg)
-    flags = np.empty(
-        (stop - start, len(cfg.snr_db), len(pairs), len(POLICY_ORDER)), dtype=bool
-    )
-    for si, snr_db in enumerate(cfg.snr_db):
-        pm = cfg.power_model(snr_db)
-        for lo, hi in _blocks(cfg, start, stop):
-            entropies = [(cfg.seed, _KIND_ID[kind], si, r) for r in range(lo, hi)]
-            flags[lo - start : hi - start, si] = _success_block(cfg, kind, pairs, pm, entropies)
-    return (flags,)
+def _success_reduce(pm: PowerModel, block, oracle, outcomes):
+    """Success flags (B, methods, policies)."""
+    flags = [[lockstep_adjudicate(out.pairs, block, p, oracle[0]) for p in POLICY_ORDER]
+             for out in outcomes]
+    return (np.transpose(flags, (2, 0, 1)),)
 
 
 def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
@@ -437,11 +419,12 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.channel == "both":
         raise ValueError("success-rate runs use a single channel kind")
     t0 = time.monotonic()
-    flags = np.empty(
-        (cfg.realizations, len(cfg.snr_db), len(cfg.methods), len(POLICY_ORDER)),
-        dtype=bool,
-    )
-    _run_chunked(_success_chunk, cfg, (flags,))
+    kind = cfg.kinds[0]
+    cells = [
+        (kind, cfg.power_model(snr_db), (cfg.seed, _KIND_ID[kind], si))
+        for si, snr_db in enumerate(cfg.snr_db)
+    ]
+    (flags,) = _run_chunked(cfg, cells, _success_reduce)
 
     rows: list[tuple] = []
     stats: dict = {"snr_db": np.array(cfg.snr_db), "success": {}, "stderr": {}}

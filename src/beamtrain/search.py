@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .codebooks import Codebook
 __all__ = [
     "PowerMode",
     "PowerModel",
-    "TraceRow",
     "AdjudicationPolicy",
     "nearest_leaf",
     "PathBlock",
@@ -41,7 +39,6 @@ __all__ = [
     "lockstep_search",
     "lockstep_exhaustive",
     "lockstep_adjudicate",
-    "TRACE_COLUMNS",
 ]
 
 
@@ -103,23 +100,6 @@ class PowerModel:
         return n_tx_active * coupling_sq
 
 
-class TraceRow(NamedTuple):
-    """One search stage: the 1-based candidates measured, the one kept, and
-    its measured |y|^2 and noiseless power gain.  Every cell is a Python
-    scalar, so the trace is its own CSV rows."""
-
-    stage: int
-    side: str
-    candidate_1: int
-    candidate_2: int
-    winner: int
-    y_power: float
-    noiseless_gain: float
-
-
-TRACE_COLUMNS = TraceRow._fields
-
-
 class AdjudicationPolicy(str, Enum):
     MATCH_EXHAUSTIVE = "match-exhaustive"
     ALIGN_ANY_MPC = "align-any-mpc"
@@ -160,8 +140,7 @@ class PathBlock:
 class LockstepOutcome:
     """The searches of B realizations: the found (tx, rx) leaf ``pairs``,
     (B, 2), and each stage's ``winners`` with their measured ``y_power``
-    and noiseless power ``gains``, (B, n_steps); indices are 1-based, as in
-    :class:`TraceRow`."""
+    and noiseless power ``gains``, (B, n_steps); indices are 1-based."""
 
     __slots__ = ("pairs", "winners", "y_power", "gains")
 

@@ -162,6 +162,13 @@ class TestRotate:
         got = rotate(steering_weights(8, -0.25), 0.5)
         want = steering_weights(8, 0.25)
         np.testing.assert_allclose(got, want, atol=1e-14)
+        # An array of psi gives one rotated row per psi, each the scalar rotation.
+        psi = np.array([0.0, 0.5, -0.75])
+        rows = rotate(steering_weights(8, -0.25), psi)
+        assert rows.shape == (3, 8)
+        for row, p in zip(rows, psi):
+            assert row.tobytes() == rotate(steering_weights(8, -0.25), p).tobytes()
+        np.testing.assert_allclose(rows, steering_weights(8, -0.25 + psi).T, atol=1e-14)
 
     def test_preserves_membership_and_pattern(self):
         rng = np.random.default_rng(4)

