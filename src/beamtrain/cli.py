@@ -19,7 +19,6 @@ from .codebooks import export_codebook, generate_codebook, validate_codebook
 from .experiments import (
     _DEFAULT_SNR_GRID,
     DEFAULT_PATTERN_CODEWORDS,
-    POLICY_ORDER,
     ExperimentConfig,
     ExperimentResult,
     _codebook_pairs,
@@ -28,7 +27,7 @@ from .experiments import (
     run_received_power,
     run_success_rate,
 )
-from .search import lockstep_adjudicate
+from .search import AdjudicationPolicy, lockstep_adjudicate
 
 __all__ = ["main", "entrypoint"]
 
@@ -119,7 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_pat.add_argument("--out", type=Path, required=True)
 
-    p_search = sub.add_parser("search", help="run one search on one sampled channel")
+    p_search = sub.add_parser(
+        "search", help="run one search on one sampled channel",
+        description="Run one search on one sampled channel and print its trace.  The "
+        "realization's entropy is the seed alone; NumPy pads it with zero words to four, "
+        "so below seed 2^64 a --channel los run draws the paths and noise of mc-power's "
+        "LOS realization 0 at the same seed.",
+    )
     _add_common(p_search)
     _add_channel_options(p_search, ("bmw-ss",))
     p_search.add_argument("--channel", choices=("los", "nlos"), default="nlos")
@@ -228,7 +233,7 @@ def _cmd_pattern(args) -> int:
     )
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} grid points, "
-          f"{len(result.stats['labels'])} codewords)")
+          f"{len(result.stats['gains'])} codewords)")
     return 0
 
 
@@ -256,8 +261,8 @@ def _cmd_search(args) -> int:
     (tx, rx), (tx_best, rx_best) = out.pairs[0].tolist(), best_pairs[0].tolist()
     print(f"found pair (tx={tx}, rx={rx}); "
           f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gains[0]:.5g}")
-    for policy in POLICY_ORDER:
-        success = lockstep_adjudicate(out.pairs, block, policy, best_pairs)[0]
+    flags = lockstep_adjudicate(out.pairs[:, None], block, best_pairs)[0, 0].tolist()
+    for policy, success in zip(AdjudicationPolicy, flags):
         print(f"policy {policy.value}: {'success' if success else 'failure'}")
     if args.out is not None:
         ExperimentResult(columns=TRACE_COLUMNS, rows=trace).write_csv(args.out)

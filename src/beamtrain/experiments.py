@@ -68,12 +68,6 @@ SUCCESS_COLUMNS = ("snr_db", "method", "policy", "success", "stderr")
 
 DEFAULT_PATTERN_CODEWORDS = ((2, 1), (2, 2), (1, 1), (1, 2), (0, 1))
 
-POLICY_ORDER = (
-    AdjudicationPolicy.MATCH_EXHAUSTIVE,
-    AdjudicationPolicy.ALIGN_ANY_MPC,
-    AdjudicationPolicy.ALIGN_STRONGEST,
-)
-
 # Stable per-kind ids so channel draws do not depend on which kinds a run asks for.
 _KIND_ID = {ChannelKind.LOS: 0, ChannelKind.NLOS: 1}
 
@@ -106,6 +100,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(CodebookMethod(m).value for m in self.methods))
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {','.join(self.methods)}")
         object.__setattr__(self, "power_mode", PowerMode(self.power_mode).value)
         object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
         if self.n_tx < 2 or self.n_rx < 2:
@@ -128,7 +124,7 @@ class ExperimentConfig:
         # The larger of a run's result arrays: success flags per SNR point and
         # policy, or winner powers per channel kind and step.
         cells = self.realizations * len(self.methods) * max(
-            len(self.snr_db) * len(POLICY_ORDER), len(self.kinds) * self.n_steps
+            len(self.snr_db) * len(AdjudicationPolicy), len(self.kinds) * self.n_steps
         )
         if cells > MAX_GRID_CELLS:
             raise ValueError(
@@ -161,8 +157,8 @@ class ExperimentResult:
     """Tabular result plus structured aggregates.
 
     ``rows`` hold plain Python scalars in a stable order; ``stats`` carries
-    the same numbers as arrays keyed for programmatic use; ``meta`` records
-    runtime information that never enters the CSV.
+    the same numbers as arrays keyed for programmatic use; ``meta`` holds a
+    Monte-Carlo run's ``elapsed_s``, which never enters the CSV.
     """
 
     columns: tuple[str, ...]
@@ -305,7 +301,7 @@ def _chunk(args) -> list[np.ndarray]:
         blocks = []
         for lo, hi in _blocks(cfg, start, stop):
             entropies = [(*prefix, r) for r in range(lo, hi)]
-            blocks.append(reduce(pm, *_search_block(cfg, kind, pairs, pm, entropies)))
+            blocks.append(reduce(*_search_block(cfg, kind, pairs, pm, entropies)))
         per_cell.append([np.concatenate(part) for part in zip(*blocks)])
     return [np.stack(part, axis=1) for part in zip(*per_cell)]
 
@@ -333,9 +329,9 @@ def _run_chunked(cfg: ExperimentConfig, cells, reduce) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _power_reduce(pm: PowerModel, block, oracle, outcomes):
+def _power_reduce(block, oracle, outcomes):
     """Exhaustive bounds (B,) and per-method winner powers (B, methods, n_steps)."""
-    return pm.power * oracle[1], pm.power * np.stack([out.gains for out in outcomes], axis=1)
+    return oracle[1], np.stack([out.gains for out in outcomes], axis=1)
 
 
 def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
@@ -388,13 +384,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
                         bound_db,
                     )
                 )
-    meta = {
-        "elapsed_s": time.monotonic() - t0,
-        "realizations": cfg.realizations,
-        "seed": cfg.seed,
-        "snr_db": cfg.snr_db[0],
-        "power_mode": cfg.power_mode,
-    }
+    meta = {"elapsed_s": time.monotonic() - t0}
     return ExperimentResult(columns=POWER_COLUMNS, rows=rows, stats=stats, meta=meta)
 
 
@@ -403,11 +393,10 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _success_reduce(pm: PowerModel, block, oracle, outcomes):
+def _success_reduce(block, oracle, outcomes):
     """Success flags (B, methods, policies)."""
-    flags = [[lockstep_adjudicate(out.pairs, block, p, oracle[0]) for p in POLICY_ORDER]
-             for out in outcomes]
-    return (np.transpose(flags, (2, 0, 1)),)
+    pairs = np.stack([out.pairs for out in outcomes], axis=1)
+    return (lockstep_adjudicate(pairs, block, oracle[0]),)
 
 
 def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
@@ -427,9 +416,9 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
     (flags,) = _run_chunked(cfg, cells, _success_reduce)
 
     rows: list[tuple] = []
-    stats: dict = {"snr_db": np.array(cfg.snr_db), "success": {}, "stderr": {}}
+    stats: dict = {"success": {}, "stderr": {}}
     for mi, method in enumerate(cfg.methods):
-        for pi, policy in enumerate(POLICY_ORDER):
+        for pi, policy in enumerate(AdjudicationPolicy):
             vals = flags[:, :, mi, pi].astype(float)
             rate = np.mean(vals, axis=0)
             se = np.array([_stderr(vals[:, si]) for si in range(len(cfg.snr_db))])
@@ -437,7 +426,7 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
             stats["stderr"][(method, policy.value)] = se
     for si, snr_db in enumerate(cfg.snr_db):
         for method in cfg.methods:
-            for policy in POLICY_ORDER:
+            for policy in AdjudicationPolicy:
                 rows.append(
                     (
                         float(snr_db),
@@ -447,13 +436,7 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
                         float(stats["stderr"][(method, policy.value)][si]),
                     )
                 )
-    meta = {
-        "elapsed_s": time.monotonic() - t0,
-        "realizations": cfg.realizations,
-        "seed": cfg.seed,
-        "channel": cfg.channel,
-        "power_mode": cfg.power_mode,
-    }
+    meta = {"elapsed_s": time.monotonic() - t0}
     return ExperimentResult(columns=SUCCESS_COLUMNS, rows=rows, stats=stats, meta=meta)
 
 
@@ -484,26 +467,24 @@ def run_beam_patterns(
     omega = angle_grid(grid_points)
     cb = generate_codebook(method, n)
     columns: list[str] = ["omega"]
-    profiles: list[np.ndarray] = []
-    labels: list[str] = []
+    profiles: dict[str, np.ndarray] = {}
     for layer, index in codewords:
         if not 0 <= layer <= cb.depth or not 1 <= index <= 2**layer:
             raise ValueError(f"no codeword at layer {layer}, index {index}")
+        label = f"a_{layer}_{index}"
+        if label in profiles:
+            raise ValueError(f"codeword at layer {layer}, index {index} is repeated")
         weights = cb.layers[layer][index - 1]
         if per_antenna:
             weights = weights * math.sqrt(cb.active_counts[layer][index - 1])
-        gains = np.abs(beam_gain(weights, omega))
-        label = f"a_{layer}_{index}"
-        labels.append(label)
         columns.extend([label, f"{label}_db"])
-        profiles.append(gains)
+        profiles[label] = np.abs(beam_gain(weights, omega))
     rows = []
     for gi, point in enumerate(omega):
         row: list = [float(point)]
-        for gains in profiles:
+        for gains in profiles.values():
             lin = float(gains[gi])
             row.extend([lin, 20.0 * math.log10(max(lin, _DB_FLOOR))])
         rows.append(tuple(row))
-    stats = {"labels": labels, "gains": dict(zip(labels, profiles)), "omega": omega}
-    meta = {"method": CodebookMethod(method).value, "n": n, "per_antenna": per_antenna}
-    return ExperimentResult(columns=tuple(columns), rows=rows, stats=stats, meta=meta)
+    stats = {"gains": profiles, "omega": omega}
+    return ExperimentResult(columns=tuple(columns), rows=rows, stats=stats)

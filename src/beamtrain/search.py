@@ -3,13 +3,13 @@
 A single training symbol is sent per candidate codeword.  Under the total
 power model the received sample is
 
-    y = sqrt(p) * w_rx^H H w_tx + w_rx^H noise,
+    y = w_rx^H H w_tx + w_rx^H noise
 
-and under the per-antenna model the transmit scale grows with the number of
-active transmit antennas, ``sqrt(p * n_tx_active)``.  The search descends the
-receive codebook first (transmitter pinned to its widest codeword), then the
-transmit codebook, testing the two children of the current parent at every
-stage and keeping the larger measured power.
+at one watt, and under the per-antenna model the transmit scale grows with
+the number of active transmit antennas, ``sqrt(n_tx_active)``.  The search
+descends the receive codebook first (transmitter pinned to its widest
+codeword), then the transmit codebook, testing the two children of the
+current parent at every stage and keeping the larger measured power.
 
 One engine runs every search: the ``lockstep_*`` functions take a block of
 B realizations at once, in the path domain.  A :class:`PathBlock` holds the
@@ -49,55 +49,34 @@ class PowerMode(str, Enum):
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Transmit-power convention plus the per-antenna noise power (watts).
+    """Transmit-power convention at one watt, plus the per-antenna noise
+    power (watts).
 
-    ``power`` is the total radiated power for the ``total`` mode and the
-    per-antenna power for the ``per-antenna`` mode, where the radiated power
-    scales with the number of active transmit antennas.
+    Under ``total`` the codeword radiates one watt; under ``per-antenna``
+    each active transmit antenna does, so the radiated power is the active
+    count.
     """
 
     mode: PowerMode
-    power: float
     noise_power: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", PowerMode(self.mode))
-        if self.power <= 0.0:
-            raise ValueError("transmit power must be positive")
         if self.noise_power < 0.0:
             raise ValueError("noise power must be non-negative")
 
     @classmethod
-    def total(cls, power: float = 1.0, noise_power: float = 1e-4) -> "PowerModel":
-        return cls(PowerMode.TOTAL, power, noise_power)
-
-    @classmethod
-    def per_antenna(cls, power: float = 1.0, noise_power: float = 1e-4) -> "PowerModel":
-        return cls(PowerMode.PER_ANTENNA, power, noise_power)
-
-    @classmethod
-    def from_snr_db(
-        cls, mode: PowerMode | str, snr_db: float, power: float = 1.0
-    ) -> "PowerModel":
-        """Fix the transmit power at ``power`` watts and set the noise floor
-        so that power/noise equals the requested SNR."""
-        noise_power = power * db_to_linear(-snr_db)
+    def from_snr_db(cls, mode: PowerMode | str, snr_db: float) -> "PowerModel":
+        """Set the noise floor so that one watt over it is the requested SNR."""
+        noise_power = db_to_linear(-snr_db)
         if not math.isfinite(noise_power):
             raise ValueError(f"snr_db={snr_db} puts the noise floor out of float range")
-        return cls(PowerMode(mode), power, noise_power)
+        return cls(PowerMode(mode), noise_power)
 
-    def tx_power(self, n_tx_active: int) -> float:
-        """Radiated power for a transmit codeword with the given active count."""
-        if self.mode is PowerMode.TOTAL:
-            return self.power
-        return self.power * n_tx_active
-
-    def gain(self, coupling_sq: float, n_tx_active: int):
-        """Power gain: the squared beamformed coupling, scaled by the active
-        transmit count under the per-antenna model."""
-        if self.mode is PowerMode.TOTAL:
-            return coupling_sq
-        return n_tx_active * coupling_sq
+    def scale(self, n_tx_active):
+        """Radiated power of a transmit codeword with the given active count:
+        the measurement is ``sqrt(scale) g + n`` and the gain ``scale |g|^2``."""
+        return 1 if self.mode is PowerMode.TOTAL else n_tx_active
 
 
 class AdjudicationPolicy(str, Enum):
@@ -187,13 +166,14 @@ def _lockstep_descend(
             combined = np.einsum("bn,bcn->bc", w_rx.conj(), nz)
             active = cb.active_counts[k][children]
         g = np.einsum("bcn,bn->bc", cand, seen)
-        y_power = np.abs(np.sqrt(power_model.tx_power(active)) * g + combined) ** 2
+        scale = power_model.scale(active)
+        y_power = np.abs(np.sqrt(scale) * g + combined) ** 2
         # Ties go to the lower child index.
         high = (y_power[:, 1] > y_power[:, 0]).astype(np.intp)
         parent = children[rows, high]
         out.winners[:, stage] = parent + 1
         out.y_power[:, stage] = y_power[rows, high]
-        out.gains[:, stage] = power_model.gain(np.abs(g) ** 2, active)[rows, high]
+        out.gains[:, stage] = (scale * np.abs(g) ** 2)[rows, high]
     return parent
 
 
@@ -270,32 +250,28 @@ def lockstep_exhaustive(
         tx_idx, rx_idx = divmod(int(np.argmax(by_tx)), n_rx)
         pairs[b] = tx_idx + 1, rx_idx + 1
         best[b] = by_tx[tx_idx, rx_idx]
-    return pairs, power_model.gain(best, n_tx)
+    return pairs, power_model.scale(n_tx) * best
 
 
 def lockstep_adjudicate(
-    pairs: np.ndarray,
-    block: PathBlock,
-    policy: AdjudicationPolicy | str,
-    exhaustive_pairs: np.ndarray,
+    pairs: np.ndarray, block: PathBlock, exhaustive_pairs: np.ndarray
 ) -> np.ndarray:
-    """Decide, for each of B realizations, whether its search succeeded.
+    """Decide, for each of B realizations and M searches, whether the search
+    succeeded under each :class:`AdjudicationPolicy`, in the enum's order:
+    a (B, M, 3) bool array.
 
-    ``pairs`` and ``exhaustive_pairs`` are (B, 2) 1-based (tx, rx) pairs,
-    as from :func:`lockstep_search` and :func:`lockstep_exhaustive`.
-    ``match-exhaustive``: the found pair equals the exhaustive pair.
-    ``align-any-mpc``: the found pair equals the nearest-leaf pair of at
-    least one path.  ``align-strongest``: same, but only the path with the
-    largest coefficient magnitude qualifies.
+    ``pairs`` (B, M, 2) holds the found 1-based (tx, rx) pairs, as from M
+    :func:`lockstep_search` runs, and ``exhaustive_pairs`` (B, 2) those of
+    :func:`lockstep_exhaustive`.  ``match-exhaustive``: the found pair equals
+    the exhaustive pair.  ``align-any-mpc``: the found pair equals the
+    nearest-leaf pair of at least one path.  ``align-strongest``: same, but
+    only the path with the largest coefficient magnitude qualifies.
     """
-    policy = AdjudicationPolicy(policy)
-    if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
-        return np.all(pairs == exhaustive_pairs, axis=1)
     n_tx, n_rx = block.a_tx.shape[-1], block.a_rx.shape[-1]
-    hit = (nearest_leaf(n_tx, block.psi) == pairs[:, :1]) & (
-        nearest_leaf(n_rx, block.omega) == pairs[:, 1:]
-    )
-    if policy is AdjudicationPolicy.ALIGN_STRONGEST:
-        # Of equal magnitudes, argmax takes the first path.
-        return hit[np.arange(len(hit)), np.argmax(np.abs(block.coeff), axis=1)]
-    return hit.any(axis=1)
+    tx_leaf = nearest_leaf(n_tx, block.psi)[:, np.newaxis]  # (B, 1, L)
+    rx_leaf = nearest_leaf(n_rx, block.omega)[:, np.newaxis]
+    hit = (tx_leaf == pairs[..., :1]) & (rx_leaf == pairs[..., 1:])  # (B, M, L)
+    match = np.all(pairs == exhaustive_pairs[:, np.newaxis], axis=-1)
+    # Of equal magnitudes, argmax takes the first path.
+    strongest = hit[np.arange(len(hit)), :, np.argmax(np.abs(block.coeff), axis=1)]
+    return np.stack([match, hit.any(axis=-1), strongest], axis=-1)

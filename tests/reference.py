@@ -34,9 +34,9 @@ def measure(w_tx, w_rx, h, power_model, rng):
     z = rng.standard_normal(2 * n_rx)
     noise = math.sqrt(power_model.noise_power / 2.0) * (z[:n_rx] + 1j * z[n_rx:])
     g = complex(w_rx.conj() @ (h @ w_tx))
-    active = np.count_nonzero(w_tx)
-    y = math.sqrt(power_model.tx_power(active)) * g + w_rx.conj() @ noise
-    return abs(y) ** 2, power_model.gain(abs(g) ** 2, active)
+    scale = power_model.scale(np.count_nonzero(w_tx))
+    y = math.sqrt(scale) * g + w_rx.conj() @ noise
+    return abs(y) ** 2, scale * abs(g) ** 2
 
 
 def search(cb_tx, cb_rx, h, power_model, rng):
@@ -68,7 +68,7 @@ def exhaustive(h, power_model):
     n_rx, n_tx = h.shape
     coupling_sq = np.abs(steering_matrix(n_rx).conj().T @ h @ steering_matrix(n_tx)) ** 2
     tx, rx = divmod(int(np.argmax(coupling_sq.T)), n_rx)
-    return (tx + 1, rx + 1), power_model.gain(float(coupling_sq[rx, tx]), n_tx)
+    return (tx + 1, rx + 1), power_model.scale(n_tx) * float(coupling_sq[rx, tx])
 
 
 def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):

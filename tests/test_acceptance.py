@@ -6,13 +6,11 @@ All Monte-Carlo gates use seed 1 and 1000 realizations.
 """
 
 import math
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import numpy as np
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, run_python
 from reference import random_awv, subarray_phase_objective
 
 from beamtrain import (
@@ -166,7 +164,7 @@ def _noise(stream: int, realizations: int, n: int) -> np.ndarray:
 
 
 def test_criterion_06_noiseless_search_matches_exhaustive():
-    pm = PowerModel.total(1.0, 0.0)
+    pm = PowerModel("total", 0.0)
     counts = {}
     for n in (16, 64):
         block = _block(ChannelParams(n_tx=n, n_rx=n, n_paths=1), 60, REALIZATIONS)
@@ -328,27 +326,23 @@ def test_criterion_10c_success_ordering_los_per_antenna():
 
 def test_criterion_11_deterministic_csv_output(tmp_path):
     base = [
-        sys.executable, "-m", "beamtrain", "mc-success", "--n", "32",
+        "-m", "beamtrain", "mc-success", "--n", "32",
         "--paths", "2", "--snr-grid", "10,25", "--realizations", "30", "--seed", "9",
     ]
     blobs = []
     for jobs, name in (("1", "a"), ("2", "b"), ("1", "c")):
         path = tmp_path / f"{name}.csv"
-        proc = subprocess.run(
-            base + ["--jobs", jobs, "--out", str(path)], capture_output=True
-        )
+        proc = run_python(*base, "--jobs", jobs, "--out", str(path), capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         blobs.append(path.read_bytes())
     power = [
-        sys.executable, "-m", "beamtrain", "mc-power", "--n", "32", "--paths", "2",
+        "-m", "beamtrain", "mc-power", "--n", "32", "--paths", "2",
         "--channel", "nlos", "--realizations", "20", "--seed", "9",
     ]
     pblobs = []
     for jobs, name in (("1", "pa"), ("3", "pb")):
         path = tmp_path / f"{name}.csv"
-        proc = subprocess.run(
-            power + ["--jobs", jobs, "--out", str(path)], capture_output=True
-        )
+        proc = run_python(*power, "--jobs", jobs, "--out", str(path), capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         pblobs.append(path.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2] and pblobs[0] == pblobs[1]

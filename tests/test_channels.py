@@ -25,7 +25,7 @@ def literal_pair_scan(h):
 def oracle_gain(n, coeff, omega, psi):
     """The engine's exhaustive gain for one realization's paths."""
     block = PathBlock(*(np.array([x]) for x in (coeff, omega, psi)), n, n)
-    return lockstep_exhaustive(block, PowerModel.total(1.0, 0.0))[1][0]
+    return lockstep_exhaustive(block, PowerModel("total", 0.0))[1][0]
 
 
 class TestSampling:

@@ -1,9 +1,9 @@
 import json
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
+
+from conftest import run_python
 
 from beamtrain import cli
 from beamtrain.cli import main
@@ -165,6 +165,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"argument --codewords: expected layer,index;layer,index, got {codewords!r}" in err
         assert not (tmp_path / "p.csv").exists()
+
+    def test_repeated_codeword_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = run_cli("pattern", "--method", "deact", "--n", "8", "--codewords", "1,1;0,1;1,1",
+                       "--out", str(out))
+        assert code == 2
+        assert "codeword at layer 1, index 1 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-success", "mc-power"])
+    def test_repeated_method_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli(command, "--n", "8", "-r", "5", "--methods", "bmw-ss,deact,bmw-ss",
+                       "--out", str(out))
+        assert code == 2
+        assert "methods must not repeat, got bmw-ss,deact,bmw-ss" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_snr_grid_names_the_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -370,10 +387,8 @@ class TestConfigFile:
 
 class TestProcessLevel:
     def test_usage_error_is_nonzero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "beamtrain", "mc-success", "--realizations", "nope"],
-            capture_output=True,
-        )
+        proc = run_python("-m", "beamtrain", "mc-success", "--realizations", "nope",
+                          capture_output=True)
         assert proc.returncode == 2
 
     def test_one_worker_run_never_loads_the_process_pool(self, tmp_path):
@@ -390,9 +405,7 @@ class TestProcessLevel:
         )
         args = ["mc-success", "--n", "8", "--snr-grid", "10", "--realizations", "4",
                 "--jobs", "1", "--out", str(tmp_path / "a.csv")]
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, *args], capture_output=True, text=True
-        )
+        proc = run_python("-c", probe, *args, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         code, after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
         # Every beamtrain module loads with the CLI, so none is imported late.
@@ -415,10 +428,8 @@ class TestProcessLevel:
         outputs = []
         for jobs, name in (("1", "a.csv"), ("2", "b.csv"), ("1", "c.csv")):
             path = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "beamtrain", *args, "--jobs", jobs, "--out", str(path)],
-                capture_output=True,
-            )
+            proc = run_python("-m", "beamtrain", *args, "--jobs", jobs, "--out", str(path),
+                              capture_output=True)
             assert proc.returncode == 0, proc.stderr
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]

@@ -72,35 +72,31 @@ def demo_trace(monkeypatch, tmp_path, *args):
 
 
 class TestPowerModel:
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            PowerModel(PowerMode.TOTAL, 0.0, 1e-4)
-
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
-            PowerModel(PowerMode.TOTAL, 1.0, -1e-4)
+            PowerModel(PowerMode.TOTAL, -1e-4)
 
     def test_from_snr_db(self):
         pm = PowerModel.from_snr_db("total", 40.0)
-        assert pm.power == 1.0
+        assert pm.mode is PowerMode.TOTAL
         assert pm.noise_power == pytest.approx(1e-4)
 
-    @pytest.mark.parametrize("snr_db, power", [(-4000.0, 1.0), (-3000.0, 1e10)])
-    def test_from_snr_db_rejects_overflowing_noise_floor(self, snr_db, power):
+    def test_from_snr_db_rejects_overflowing_noise_floor(self):
         with pytest.raises(ValueError, match="snr_db"):
-            PowerModel.from_snr_db("total", snr_db, power)
+            PowerModel.from_snr_db("total", -4000.0)
 
     def test_tx_power_scaling(self):
-        tot = PowerModel.total(2.0, 1e-4)
-        per = PowerModel.per_antenna(2.0, 1e-4)
-        assert tot.tx_power(64) == 2.0
-        assert per.tx_power(64) == 128.0
+        # One watt in all under total power, one per active antenna under per-antenna.
+        assert PowerModel("total", 1e-4).scale(64) == 1
+        assert PowerModel("per-antenna", 1e-4).scale(64) == 64
 
     def test_gain_scaling(self):
-        tot = PowerModel.total(1.0, 0.0)
-        per = PowerModel.per_antenna(1.0, 0.0)
-        assert tot.gain(0.5, 64) == 0.5
-        assert per.gain(0.5, 64) == 32.0
+        # The scale multiplies the squared coupling, elementwise over active counts.
+        active = np.array([1, 8, 64])
+        for mode, want in (("total", [1, 1, 1]), ("per-antenna", [1, 8, 64])):
+            pm = PowerModel(mode, 0.0)
+            assert [pm.scale(n) for n in active.tolist()] == want
+            np.testing.assert_array_equal(pm.scale(active) * 0.5, np.multiply(want, 0.5))
 
 
 class TestMeasure:
@@ -110,7 +106,7 @@ class TestMeasure:
         params = ChannelParams(8, 8, 3)
         block = drawn_block(params, range(4))
         cb = generate_codebook("bmw-ss", 8)
-        out = search(cb, cb, block, PowerModel.total(1.0, 0.0), [(1, i) for i in range(4)])
+        out = search(cb, cb, block, PowerModel("total", 0.0), [(1, i) for i in range(4)])
         for i in range(4):
             h = reference.channel_matrix(8, 8, *draw_paths(params, np.random.default_rng(i)))
             rx = out.pairs[i, 1]
@@ -128,8 +124,8 @@ class TestMeasure:
         seeds = [(2, i) for i in range(20)]
         for method in ("deact", "bmw-ss"):
             cb = generate_codebook(method, 16)
-            total = search(cb, cb, block, PowerModel.total(1.0, 0.0), seeds)
-            per = search(cb, cb, block, PowerModel.per_antenna(1.0, 0.0), seeds)
+            total = search(cb, cb, block, PowerModel("total", 0.0), seeds)
+            per = search(cb, cb, block, PowerModel("per-antenna", 0.0), seeds)
             # Siblings share an active count, so the same children win.
             np.testing.assert_array_equal(per.winners, total.winners)
             active = np.empty_like(total.gains)
@@ -147,7 +143,7 @@ class TestMeasure:
         n0, b = 2.5e-3, 4000
         cb_tx, cb_rx = generate_codebook("deact", 4), generate_codebook("deact", 8)
         noise = np.random.default_rng(1).standard_normal((b, 5, 2, 2, 8))
-        out = lockstep_search(cb_tx, cb_rx, zero_block(4, 8, b), PowerModel.total(1.0, n0), noise)
+        out = lockstep_search(cb_tx, cb_rx, zero_block(4, 8, b), PowerModel("total", n0), noise)
         draws = out.y_power.ravel()
         assert np.mean(draws) == pytest.approx(
             1.5 * n0, abs=3 * np.sqrt(1.25) * n0 / np.sqrt(draws.size)
@@ -158,7 +154,7 @@ class TestHierarchicalSearch:
     def test_trace_has_expected_shape(self):
         cb = generate_codebook("bmw-ss", 64)
         block = drawn_block(ChannelParams(64, 64, 3), range(5))
-        out = search(cb, cb, block, PowerModel.total(), [(3, i) for i in range(5)])
+        out = search(cb, cb, block, PowerModel("total", 1e-4), [(3, i) for i in range(5)])
         assert out.pairs.shape == (5, 2)
         assert out.winners.shape == out.y_power.shape == out.gains.shape == (5, 12)
         layer_sizes = [2**k for k in range(1, 7)] * 2  # receive stages, then transmit
@@ -166,14 +162,14 @@ class TestHierarchicalSearch:
 
     def test_zero_channel_still_completes(self):
         cb = generate_codebook("deact", 16)
-        out = search(cb, cb, zero_block(16, 16), PowerModel.total(), [4])
+        out = search(cb, cb, zero_block(16, 16), PowerModel("total", 1e-4), [4])
         assert out.winners.shape == (1, 8)
         assert 1 <= out.pairs[0, 0] <= 16 and 1 <= out.pairs[0, 1] <= 16
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
     def test_noiseless_single_path_finds_best_pair(self, method):
         cb = generate_codebook(method, 16)
-        pm = PowerModel.total(1.0, 0.0)
+        pm = PowerModel("total", 0.0)
         block = drawn_block(ChannelParams(16, 16, 1), [(20, seed) for seed in range(100)])
         out = search(cb, cb, block, pm, [(21, seed) for seed in range(100)])
         np.testing.assert_array_equal(out.pairs, lockstep_exhaustive(block, pm)[0])
@@ -182,13 +178,13 @@ class TestHierarchicalSearch:
         cb = generate_codebook("deact", 8)
         block = drawn_block(ChannelParams(16, 16, 1), [5])
         with pytest.raises(ValueError, match="codebook sizes"):
-            lockstep_search(cb, cb, block, PowerModel.total(), np.zeros((1, 6, 2, 2, 16)))
+            lockstep_search(cb, cb, block, PowerModel("total", 1e-4), np.zeros((1, 6, 2, 2, 16)))
 
     def test_distinct_array_sizes(self):
         cb_tx = generate_codebook("deact", 16)
         cb_rx = generate_codebook("deact", 8)
         block = drawn_block(ChannelParams(16, 8, 2), [7])
-        out = search(cb_tx, cb_rx, block, PowerModel.total(), [8])
+        out = search(cb_tx, cb_rx, block, PowerModel("total", 1e-4), [8])
         assert out.winners.shape == (1, 3 + 4)
         assert 1 <= out.pairs[0, 0] <= 16 and 1 <= out.pairs[0, 1] <= 8
 
@@ -232,7 +228,7 @@ class TestSearchProperties:
     @given(method=search_methods, n_tx=search_sizes, n_rx=search_sizes, seed=st.integers(0, 99))
     def test_zero_channel_ties_go_to_the_lower_child(self, method, n_tx, n_rx, seed):
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
-        out = search(cb_tx, cb_rx, zero_block(n_tx, n_rx), PowerModel.total(1.0, 0.0), [seed])
+        out = search(cb_tx, cb_rx, zero_block(n_tx, n_rx), PowerModel("total", 0.0), [seed])
         assert out.pairs.tolist() == [[1, 1]]
         assert np.all(out.winners == 1)  # the lower child of the first row, every stage
 
@@ -243,7 +239,7 @@ class TestSearchProperties:
         i_rx = data.draw(st.integers(0, n_rx - 1))
         omega, psi = leaf_angles(n_rx)[i_rx], leaf_angles(n_tx)[i_tx]
         block = path_block(n_tx, n_rx, [[1.0]], [[omega]], [[psi]])
-        pm = PowerModel.total(1.0, 0.0)
+        pm = PowerModel("total", 0.0)
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
         out = search(cb_tx, cb_rx, block, pm, [0])
         best, _ = lockstep_exhaustive(block, pm)
@@ -269,7 +265,7 @@ class TestLockstepMatchesReference:
         self, n_tx, n_rx, mode, kind, n_paths, noise_power, blocks, seed
     ):
         params = ChannelParams(n_tx, n_rx, n_paths, kind)
-        pm = PowerModel(mode, 1.0, noise_power)
+        pm = PowerModel(mode, noise_power)
         n_steps = n_tx.bit_length() + n_rx.bit_length() - 2
         drawn = [draw_paths(params, np.random.default_rng((seed, i))) for i in range(blocks)]
         block = path_block(n_tx, n_rx, *(np.stack(column) for column in zip(*drawn)))
@@ -287,12 +283,11 @@ class TestLockstepMatchesReference:
             assert tuple(best_pairs[i]) == pair
             assert best_gains[i] == pytest.approx(gain, rel=1e-12)
 
+        found = []
         for method in ("deact", "bmw-ss"):
             cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
             out = lockstep_search(cb_tx, cb_rx, block, pm, noise)
-            flags = {
-                p: lockstep_adjudicate(out.pairs, block, p, best_pairs) for p in AdjudicationPolicy
-            }
+            found.append(out.pairs)
             for i, h in enumerate(matrices):
                 rng = np.random.default_rng((seed, i, 1))
                 pair, stages = reference.search(cb_tx, cb_rx, h, pm, rng)
@@ -305,17 +300,22 @@ class TestLockstepMatchesReference:
                 np.testing.assert_allclose(
                     out.y_power[i], y_power, rtol=1e-12, atol=1e-15 * max(y_power)
                 )
-                exhaustive_pair = tuple(best_pairs[i])
-                for policy, flag in flags.items():
-                    assert flag[i] == reference.adjudicate(
-                        pair, exhaustive_pair, n_tx, n_rx, drawn[i], policy
-                    )
+
+        # One call adjudicates both methods under every policy, in the enum's order.
+        flags = lockstep_adjudicate(np.stack(found, axis=1), block, best_pairs)
+        assert flags.shape == (blocks, 2, 3)
+        for i, m in np.ndindex(blocks, 2):
+            pair, exhaustive_pair = tuple(found[m][i]), tuple(best_pairs[i])
+            for p, policy in enumerate(AdjudicationPolicy):
+                assert flags[i, m, p] == reference.adjudicate(
+                    pair, exhaustive_pair, n_tx, n_rx, drawn[i], policy
+                )
 
     def test_rejects_mismatched_noise(self):
         cb = generate_codebook("deact", 8)
         block = drawn_block(ChannelParams(8, 8, 2), [0])
         with pytest.raises(ValueError, match="noise"):
-            lockstep_search(cb, cb, block, PowerModel.total(), np.zeros((1, 6, 2, 2, 4)))
+            lockstep_search(cb, cb, block, PowerModel("total", 1e-4), np.zeros((1, 6, 2, 2, 4)))
 
     def test_nearest_leaf_takes_arrays(self):
         angles = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3))
@@ -328,13 +328,13 @@ class TestExhaustiveSearch:
     def test_on_grid_single_path(self):
         angs = -1 + (2 * np.arange(1, 9) - 1) / 8
         block = path_block(8, 8, [[1.0]], [[angs[2]]], [[angs[5]]])
-        pairs, gains = lockstep_exhaustive(block, PowerModel.total(1.0, 0.0))
+        pairs, gains = lockstep_exhaustive(block, PowerModel("total", 0.0))
         assert pairs.tolist() == [[6, 3]]
         assert gains[0] == pytest.approx(64.0, rel=1e-12)
 
     def test_matches_literal_double_loop(self):
         params = ChannelParams(16, 16, 3)
-        pm = PowerModel.total(1.0, 0.0)
+        pm = PowerModel("total", 0.0)
         pairs, best = lockstep_exhaustive(drawn_block(params, range(3)), pm)
         for seed in range(3):
             h = reference.channel_matrix(16, 16, *draw_paths(params, np.random.default_rng(seed)))
@@ -350,13 +350,13 @@ class TestExhaustiveSearch:
 
     def test_pair_does_not_depend_on_power_model(self):
         block = drawn_block(ChannelParams(16, 8, 3), [11])
-        pairs, total = lockstep_exhaustive(block, PowerModel.total(1.0, 0.0))
-        per_pairs, per = lockstep_exhaustive(block, PowerModel.per_antenna(1.0, 0.0))
+        pairs, total = lockstep_exhaustive(block, PowerModel("total", 0.0))
+        per_pairs, per = lockstep_exhaustive(block, PowerModel("per-antenna", 0.0))
         np.testing.assert_array_equal(per_pairs, pairs)
         np.testing.assert_array_equal(per, 16 * total)
 
     def test_all_ties_resolve_to_first_pair(self):
-        pairs, _ = lockstep_exhaustive(zero_block(8, 8), PowerModel.total())
+        pairs, _ = lockstep_exhaustive(zero_block(8, 8), PowerModel("total", 1e-4))
         assert pairs.tolist() == [[1, 1]]
 
 
@@ -372,20 +372,19 @@ class TestAdjudication:
         angs = -1 + (2 * np.arange(1, 17) - 1) / 16
         block = path_block(16, 16, [[1.0]], [[angs[4]]], [[angs[9]]])
         cb = generate_codebook("deact", 16)
-        pm = PowerModel.total(1.0, 0.0)
+        pm = PowerModel("total", 0.0)
         out = search(cb, cb, block, pm, [0])
         best, _ = lockstep_exhaustive(block, pm)
-        for policy in AdjudicationPolicy:
-            assert lockstep_adjudicate(out.pairs, block, policy, best).tolist() == [True]
+        assert lockstep_adjudicate(out.pairs[:, None], block, best).tolist() == [[[True] * 3]]
 
     def test_match_exhaustive_compares_with_the_given_pair(self):
         cb = generate_codebook("deact", 8)
         block = drawn_block(ChannelParams(8, 8, 2), [12])
-        found = search(cb, cb, block, PowerModel.total(), [13]).pairs
+        found = search(cb, cb, block, PowerModel("total", 1e-4), [13]).pairs
         other = found.copy()
         other[:, 0] = other[:, 0] % 8 + 1
-        assert lockstep_adjudicate(found, block, "match-exhaustive", found).tolist() == [True]
-        assert lockstep_adjudicate(found, block, "match-exhaustive", other).tolist() == [False]
+        assert lockstep_adjudicate(found[:, None], block, found)[:, 0, 0].tolist() == [True]
+        assert lockstep_adjudicate(found[:, None], block, other)[:, 0, 0].tolist() == [False]
 
     def test_single_path_any_equals_strongest(self):
         cb = generate_codebook("bmw-ss", 16)
@@ -393,23 +392,20 @@ class TestAdjudication:
         block = drawn_block(ChannelParams(16, 16, 1), [(30, seed) for seed in range(50)])
         found = search(cb, cb, block, pm, [(31, seed) for seed in range(50)]).pairs
         best, _ = lockstep_exhaustive(block, pm)
-        np.testing.assert_array_equal(
-            lockstep_adjudicate(found, block, "align-any-mpc", best),
-            lockstep_adjudicate(found, block, "align-strongest", best),
-        )
+        flags = lockstep_adjudicate(found[:, None], block, best)[:, 0]
+        np.testing.assert_array_equal(flags[:, 1], flags[:, 2])  # align-any-mpc, align-strongest
 
     def test_dominant_path_match_equals_strongest(self):
         # With a 40 dB dominant path and no noise the exhaustive winner is the
         # dominant path's bin pair, so the two notions of success coincide.
         cb = generate_codebook("bmw-ss", 32)
-        pm = PowerModel.total(1.0, 0.0)
+        pm = PowerModel("total", 0.0)
         params = ChannelParams(32, 32, 3, kind=ChannelKind.LOS, eta_db=40.0)
         block = drawn_block(params, [(40, seed) for seed in range(200)])
         found = search(cb, cb, block, pm, [(41, seed) for seed in range(200)]).pairs
         best, _ = lockstep_exhaustive(block, pm)
-        agree = lockstep_adjudicate(found, block, "match-exhaustive", best) == lockstep_adjudicate(
-            found, block, "align-strongest", best
-        )
+        flags = lockstep_adjudicate(found[:, None], block, best)[:, 0]
+        agree = flags[:, 0] == flags[:, 2]  # match-exhaustive, align-strongest
         assert np.count_nonzero(agree) >= 198
 
     def test_trace_rows_follow_schema(self, monkeypatch, tmp_path):
