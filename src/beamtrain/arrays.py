@@ -49,6 +49,25 @@ MAX_BLOCK_CELLS = 2**18
 MAX_PATHS = 4096
 
 
+class ReadOnly:
+    """Base of the package's read-only value classes.  Each ``__init__``
+    stores its fields with ``vars(self).update``; assigning or deleting a
+    field afterwards raises ``AttributeError``.  Instances keep a ``__dict__``,
+    which pickle restores without calling ``__setattr__``.
+
+    Plain classes with hand-written methods: generating the methods at
+    import, and importing the module that generates them, took about 6-9 ms
+    of every process's start-up."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 def active_counts(weights) -> np.ndarray:
     """Active-entry count of each row of a (..., N) weight array.
 

@@ -13,12 +13,11 @@ are normalized so the expected total path power is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .arrays import MAX_PATHS
+from .arrays import MAX_PATHS, ReadOnly
 
 __all__ = ["ChannelKind", "ChannelParams", "draw_paths"]
 
@@ -36,30 +35,25 @@ class ChannelKind(str, Enum):
     NLOS = "nlos"
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(ReadOnly):
     """Sampling parameters for one channel ensemble.
 
     ``eta_db`` is the power gap, in dB, between the dominant path and the
     expected power of each diffuse path; it only matters for the LOS kind.
     """
 
-    n_tx: int
-    n_rx: int
-    n_paths: int = 3
-    kind: ChannelKind = ChannelKind.NLOS
-    eta_db: float = 15.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ChannelKind(self.kind))
-        if self.n_tx < 1 or self.n_rx < 1:
+    def __init__(self, n_tx: int, n_rx: int, n_paths: int = 3,
+                 kind: ChannelKind = ChannelKind.NLOS, eta_db: float = 15.0) -> None:
+        kind = ChannelKind(kind)
+        if n_tx < 1 or n_rx < 1:
             raise ValueError("array sizes must be positive")
-        if not 1 <= self.n_paths <= MAX_PATHS:
-            raise ValueError(f"n_paths must lie between 1 and {MAX_PATHS}, got {self.n_paths}")
-        if not 0.0 < db_to_linear(self.eta_db) < math.inf:
+        if not 1 <= n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must lie between 1 and {MAX_PATHS}, got {n_paths}")
+        if not 0.0 < db_to_linear(eta_db) < math.inf:
             raise ValueError(
-                f"eta_db must be finite, with 10**(eta_db/10) a positive float; got {self.eta_db}"
+                f"eta_db must be finite, with 10**(eta_db/10) a positive float; got {eta_db}"
             )
+        vars(self).update(n_tx=n_tx, n_rx=n_rx, n_paths=n_paths, kind=kind, eta_db=eta_db)
 
 
 def draw_paths(

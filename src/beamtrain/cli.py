@@ -36,6 +36,7 @@ __all__ = ["main", "entrypoint"]
 TRACE_COLUMNS = (
     "stage", "side", "candidate_1", "candidate_2", "winner", "y_power", "noiseless_gain",
 )
+METHOD_CHOICES = ("bmw-ss", "deact")
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -46,7 +47,12 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 
 def _csv_methods(text: str) -> tuple[str, ...]:
-    return tuple(m.strip() for m in text.split(",") if m.strip())
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    for method in methods:
+        if method not in METHOD_CHOICES:
+            choices = ", ".join(map(repr, METHOD_CHOICES))
+            raise argparse.ArgumentTypeError(f"invalid choice: {method!r} (choose from {choices})")
+    return methods
 
 
 def _codeword_list(text: str):
@@ -80,7 +86,7 @@ def _add_channel_options(parser: argparse.ArgumentParser, methods: tuple[str, ..
 
 
 def _add_mc_options(parser: argparse.ArgumentParser) -> None:
-    _add_channel_options(parser, ("bmw-ss", "deact"))
+    _add_channel_options(parser, METHOD_CHOICES)
     parser.add_argument("--realizations", "-r", type=int, default=1000)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes over realizations (results identical for any value)")

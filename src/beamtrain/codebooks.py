@@ -16,7 +16,6 @@ every other layer each codeword is a beam rotation of the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 from .arrays import (
     DEFAULT_GRID_POINTS,
     MAX_GRID_CELLS,
+    ReadOnly,
     active_counts,
     angle_grid,
     check_grid,
@@ -73,8 +73,7 @@ def check_array_size(n: int, minimum: int = 1) -> int:
     return n.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Codebook:
+class Codebook(ReadOnly):
     """Binary tree of codewords for an N-antenna array, N a power of two.
 
     ``layers[k]``, k = 0..log2(N), is a read-only C-contiguous (2^k, N)
@@ -84,30 +83,22 @@ class Codebook:
     active antennas.  Files, traces and reports number codewords from 1.
     """
 
-    n: int
-    method: CodebookMethod
-    layers: tuple[np.ndarray, ...]
-    active_counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "method", CodebookMethod(self.method))
-        depth = check_array_size(self.n)
-        if len(self.layers) != depth + 1:
-            raise ValueError(
-                f"a codebook for N={self.n} has {depth + 1} layers, got {len(self.layers)}"
-            )
-        layers = []
-        for k, layer in enumerate(self.layers):
+    def __init__(self, n: int, method: CodebookMethod | str, layers) -> None:
+        method = CodebookMethod(method)
+        depth = check_array_size(n)
+        if len(layers) != depth + 1:
+            raise ValueError(f"a codebook for N={n} has {depth + 1} layers, got {len(layers)}")
+        arrays = []
+        for k, layer in enumerate(layers):
             arr = np.array(layer, dtype=np.complex128, order="C")
-            if arr.shape != (2**k, self.n):
-                raise ValueError(f"layer {k} has shape {arr.shape}, expected {(2**k, self.n)}")
+            if arr.shape != (2**k, n):
+                raise ValueError(f"layer {k} has shape {arr.shape}, expected {(2**k, n)}")
             arr.setflags(write=False)
-            layers.append(arr)
-        counts = tuple(active_counts(arr) for arr in layers)
+            arrays.append(arr)
+        counts = tuple(active_counts(arr) for arr in arrays)
         for c in counts:
             c.setflags(write=False)
-        object.__setattr__(self, "layers", tuple(layers))
-        object.__setattr__(self, "active_counts", counts)
+        vars(self).update(n=n, method=method, layers=tuple(arrays), active_counts=counts)
 
     @property
     def depth(self) -> int:
@@ -173,8 +164,7 @@ def generate_codebook(method: CodebookMethod | str, n: int) -> Codebook:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageReport:
+class CoverageReport(ReadOnly):
     """Both design criteria of a codebook, checked at coverage threshold ``rho``.
 
     ``uncovered[k]`` holds the grid points that no row of layer k covers
@@ -182,9 +172,9 @@ class CoverageReport:
     layer k covers and its two children do not (criterion 2).
     """
 
-    rho: float
-    uncovered: tuple[np.ndarray, ...] = field(repr=False)
-    violations: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    def __init__(self, rho: float, uncovered: tuple[np.ndarray, ...],
+                 violations: tuple[tuple[np.ndarray, ...], ...]) -> None:
+        vars(self).update(rho=rho, uncovered=uncovered, violations=violations)
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,6 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .arrays import (
     DEFAULT_GRID_POINTS,
     MAX_BLOCK_CELLS,
     MAX_GRID_CELLS,
+    ReadOnly,
     angle_grid,
     beam_gain,
     check_grid,
@@ -74,70 +74,72 @@ _KIND_ID = {ChannelKind.LOS: 0, ChannelKind.NLOS: 1}
 _DEFAULT_SNR_GRID = tuple(float(x) for x in range(0, 45, 5))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ReadOnly):
     """Configuration shared by the Monte-Carlo entry points.
 
     ``channel`` accepts ``los``, ``nlos``, or ``both`` (received-power runs
     only).  ``snr_db`` is the sweep grid for success-rate runs; received-power
     runs use a single fixed SNR.  The transmit power is pinned at one watt and
-    the noise floor is derived from the SNR.
+    the noise floor is derived from the SNR.  ``n_steps`` is the number of
+    search stages, log2(N_tx * N_rx).
     """
 
-    n_tx: int = 64
-    n_rx: int = 64
-    methods: tuple[str, ...] = (CodebookMethod.BMW_SS.value, CodebookMethod.DEACT.value)
-    channel: str = "nlos"
-    n_paths: int = 3
-    eta_db: float = 15.0
-    power_mode: str = PowerMode.TOTAL.value
-    snr_db: tuple[float, ...] = _DEFAULT_SNR_GRID
-    realizations: int = 1000
-    seed: int = 1
-    jobs: int = 1
-    n_steps: int = field(init=False, repr=False)  # search stages, log2(N_tx * N_rx)
-    _params: dict = field(init=False, repr=False, compare=False)  # ChannelParams per kind
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "methods", tuple(CodebookMethod(m).value for m in self.methods))
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods must not repeat, got {','.join(self.methods)}")
-        object.__setattr__(self, "power_mode", PowerMode(self.power_mode).value)
-        object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
-        if self.n_tx < 2 or self.n_rx < 2:
+    def __init__(
+        self,
+        n_tx: int = 64,
+        n_rx: int = 64,
+        methods: tuple[str, ...] = (CodebookMethod.BMW_SS.value, CodebookMethod.DEACT.value),
+        channel: str = "nlos",
+        n_paths: int = 3,
+        eta_db: float = 15.0,
+        power_mode: str = PowerMode.TOTAL.value,
+        snr_db: tuple[float, ...] = _DEFAULT_SNR_GRID,
+        realizations: int = 1000,
+        seed: int = 1,
+        jobs: int = 1,
+    ) -> None:
+        methods = tuple(CodebookMethod(m).value for m in methods)
+        if len(set(methods)) < len(methods):
+            raise ValueError(f"methods must not repeat, got {','.join(methods)}")
+        power_mode = PowerMode(power_mode).value
+        snr = tuple(float(x) for x in snr_db)
+        if n_tx < 2 or n_rx < 2:
             raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
-        object.__setattr__(self, "n_steps", check_array_size(self.n_tx) + check_array_size(self.n_rx))
-        if not self.methods:
+        n_steps = check_array_size(n_tx) + check_array_size(n_rx)
+        if not methods:
             raise ValueError("need at least one codebook method")
-        if self.channel not in ("los", "nlos", "both"):
+        if channel not in ("los", "nlos", "both"):
             raise ValueError("channel must be los, nlos, or both")
-        snr = self.snr_db
         ascending = all(b > a for a, b in zip(snr, snr[1:]))
         if not snr or not ascending or not all(map(math.isfinite, snr)):
             raise ValueError("snr_db must be non-empty, finite and strictly ascending")
-        if self.realizations < 1:
+        if realizations < 1:
             raise ValueError("need at least one realization")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        vars(self).update(
+            n_tx=n_tx, n_rx=n_rx, methods=methods, channel=channel, n_paths=n_paths,
+            eta_db=eta_db, power_mode=power_mode, snr_db=snr, realizations=realizations,
+            seed=seed, jobs=jobs, n_steps=n_steps,
+        )
         # The larger of a run's result arrays: success flags per SNR point and
         # policy, or winner powers per channel kind and step.
-        cells = self.realizations * len(self.methods) * max(
-            len(self.snr_db) * len(AdjudicationPolicy), len(self.kinds) * self.n_steps
+        cells = realizations * len(methods) * max(
+            len(snr) * len(AdjudicationPolicy), len(self.kinds) * n_steps
         )
         if cells > MAX_GRID_CELLS:
             raise ValueError(
-                f"{self.realizations} realizations make a result array of {cells} cells; "
+                f"{realizations} realizations make a result array of {cells} cells; "
                 f"at most {MAX_GRID_CELLS}"
             )
-        params = {
-            kind: ChannelParams(self.n_tx, self.n_rx, self.n_paths, kind, self.eta_db)
-            for kind in self.kinds
-        }  # checks the path count and eta_db up front
-        object.__setattr__(self, "_params", params)
-        for snr_db in self.snr_db:
-            self.power_model(snr_db)  # checks each noise floor is finite up front
+        # ChannelParams per kind; building them checks the path count and eta_db up front.
+        vars(self)["_params"] = {
+            kind: ChannelParams(n_tx, n_rx, n_paths, kind, eta_db) for kind in self.kinds
+        }
+        for x in snr:
+            self.power_model(x)  # checks each noise floor is finite up front
 
     @property
     def kinds(self) -> tuple[ChannelKind, ...]:
@@ -152,7 +154,6 @@ class ExperimentConfig:
         return self._params[kind]
 
 
-@dataclass
 class ExperimentResult:
     """Tabular result plus structured aggregates.
 
@@ -161,10 +162,13 @@ class ExperimentResult:
     Monte-Carlo run's ``elapsed_s``, which never enters the CSV.
     """
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    stats: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("columns", "rows", "stats", "meta")
+
+    def __init__(self, columns: tuple[str, ...], rows: list[tuple],
+                 stats: dict | None = None, meta: dict | None = None) -> None:
+        self.columns, self.rows = columns, rows
+        self.stats = {} if stats is None else stats
+        self.meta = {} if meta is None else meta
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="ascii") as fh:

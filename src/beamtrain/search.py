@@ -20,12 +20,11 @@ blocks of many realizations; the ``search`` demo passes a block of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .arrays import leaf_angles, steering_matrix, steering_weights
+from .arrays import ReadOnly, leaf_angles, steering_matrix, steering_weights
 from .channels import db_to_linear
 from .codebooks import Codebook
 
@@ -47,8 +46,7 @@ class PowerMode(str, Enum):
     PER_ANTENNA = "per-antenna"
 
 
-@dataclass(frozen=True)
-class PowerModel:
+class PowerModel(ReadOnly):
     """Transmit-power convention at one watt, plus the per-antenna noise
     power (watts).
 
@@ -57,13 +55,11 @@ class PowerModel:
     count.
     """
 
-    mode: PowerMode
-    noise_power: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", PowerMode(self.mode))
-        if self.noise_power < 0.0:
+    def __init__(self, mode: PowerMode | str, noise_power: float) -> None:
+        mode = PowerMode(mode)
+        if noise_power < 0.0:
             raise ValueError("noise power must be non-negative")
+        vars(self).update(mode=mode, noise_power=noise_power)
 
     @classmethod
     def from_snr_db(cls, mode: PowerMode | str, snr_db: float) -> "PowerModel":

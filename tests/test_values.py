@@ -1,0 +1,112 @@
+"""The value classes' contract: read-only fields, pickling to pool workers,
+constructor defaults and order, and per-instance result dicts."""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from beamtrain import ChannelParams, ExperimentConfig, PowerModel, generate_codebook
+from beamtrain.channels import ChannelKind
+from beamtrain.codebooks import CoverageReport
+from beamtrain.experiments import ExperimentResult
+from beamtrain.search import PowerMode
+
+
+# One instance of each read-only class, with a field name it has.
+READ_ONLY = [
+    (ChannelParams(8, 16, 2, "los", 10.0), "n_paths"),
+    (PowerModel("per-antenna", 0.5), "noise_power"),
+    (generate_codebook("deact", 8), "layers"),
+    (CoverageReport(0.5, (np.arange(2.0),), ()), "rho"),
+    (ExperimentConfig(n_tx=8, n_rx=16, realizations=3), "seed"),
+]
+
+
+@pytest.mark.parametrize("value, name", READ_ONLY, ids=[type(v).__name__ for v, _ in READ_ONLY])
+def test_fields_are_read_only(value, name):
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    assert getattr(value, name) is before
+
+
+def _fields(value):
+    return {name: field for name, field in vars(value).items() if name != "_params"}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        ChannelParams(8, 16, 2, "los", 10.0),
+        PowerModel("per-antenna", 0.5),
+        ExperimentConfig(8, 16, ("deact",), "both", 2, 9.0, "per-antenna", (0.0, 5.0), 7, 3, 2),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_pickle_round_trip_keeps_fields_and_stays_read_only(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert _fields(copy) == _fields(value)
+    with pytest.raises(AttributeError):
+        copy.seed = 0
+    if isinstance(value, ExperimentConfig):
+        for kind in value.kinds:
+            assert vars(copy.channel_params(kind)) == vars(value.channel_params(kind))
+
+
+def test_config_defaults():
+    cfg = ExperimentConfig()
+    assert _fields(cfg) == {
+        "n_tx": 64,
+        "n_rx": 64,
+        "methods": ("bmw-ss", "deact"),
+        "channel": "nlos",
+        "n_paths": 3,
+        "eta_db": 15.0,
+        "power_mode": "total",
+        "snr_db": tuple(float(x) for x in range(0, 45, 5)),
+        "realizations": 1000,
+        "seed": 1,
+        "jobs": 1,
+        "n_steps": 12,
+    }
+    assert vars(cfg.channel_params(ChannelKind.NLOS)) == {
+        "n_tx": 64, "n_rx": 64, "n_paths": 3, "kind": ChannelKind.NLOS, "eta_db": 15.0,
+    }
+
+
+def test_constructors_keep_positional_order():
+    cfg = ExperimentConfig(8, 16, ("deact",), "los", 2, 9.0, "per-antenna", (0, 5), 7, 3, 2)
+    assert (cfg.n_tx, cfg.n_rx, cfg.methods, cfg.channel, cfg.n_paths, cfg.eta_db) == (
+        8, 16, ("deact",), "los", 2, 9.0,
+    )
+    assert (cfg.power_mode, cfg.snr_db, cfg.realizations, cfg.seed, cfg.jobs) == (
+        "per-antenna", (0.0, 5.0), 7, 3, 2,
+    )
+    assert cfg.n_steps == 7
+    params = ChannelParams(8, 16, 2, "los", 10.0)
+    assert (params.n_tx, params.n_rx, params.n_paths, params.kind, params.eta_db) == (
+        8, 16, 2, ChannelKind.LOS, 10.0,
+    )
+    pm = PowerModel("per-antenna", 0.5)
+    assert (pm.mode, pm.noise_power) == (PowerMode.PER_ANTENNA, 0.5)
+    result = ExperimentResult(("a",), [(1,)], {"s": 1}, {"m": 2})
+    assert (result.columns, result.rows, result.stats, result.meta) == (
+        ("a",), [(1,)], {"s": 1}, {"m": 2},
+    )
+
+
+def test_results_never_share_dicts():
+    first, second = ExperimentResult(("a",), []), ExperimentResult(("a",), [])
+    assert first.stats == first.meta == {}
+    first.stats["x"] = 1
+    first.meta["elapsed_s"] = 0.5
+    assert second.stats == second.meta == {}
+    assert first.stats is not second.stats and first.meta is not second.meta
+    first.rows = [(1,)]  # results stay mutable
+    assert first.rows == [(1,)]
