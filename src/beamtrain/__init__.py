@@ -8,7 +8,7 @@ from .arrays import (
     rotate,
     steering_weights,
 )
-from .channels import ChannelKind, ChannelParams, draw_paths
+from .channels import ChannelParams, draw_paths
 from .codebooks import (
     Codebook,
     export_codebook,
@@ -24,6 +24,6 @@ from .experiments import (
     run_received_power,
     run_success_rate,
 )
-from .search import AdjudicationPolicy, PowerMode, PowerModel, nearest_leaf
+from .search import PowerModel, nearest_leaf
 
 __version__ = "0.1.0"

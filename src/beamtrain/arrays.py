@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "active_counts",
     "angle_grid",
+    "check_choice",
     "check_grid",
     "steering_weights",
     "steering_matrix",
@@ -66,6 +67,12 @@ class ReadOnly:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raise ``ValueError``, naming the valid choices, unless ``value`` is one."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
 
 
 def active_counts(weights) -> np.ndarray:

@@ -13,13 +13,15 @@ are normalized so the expected total path power is one.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .arrays import MAX_PATHS, ReadOnly
+from .arrays import MAX_PATHS, ReadOnly, check_choice
 
-__all__ = ["ChannelKind", "ChannelParams", "draw_paths"]
+__all__ = ["KINDS", "ChannelParams", "draw_paths"]
+
+# The channel models: a dominant path over diffuse ones, or diffuse paths only.
+KINDS = ("los", "nlos")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -30,11 +32,6 @@ def db_to_linear(x_db: float) -> float:
         return math.inf
 
 
-class ChannelKind(str, Enum):
-    LOS = "los"
-    NLOS = "nlos"
-
-
 class ChannelParams(ReadOnly):
     """Sampling parameters for one channel ensemble.
 
@@ -43,8 +40,8 @@ class ChannelParams(ReadOnly):
     """
 
     def __init__(self, n_tx: int, n_rx: int, n_paths: int = 3,
-                 kind: ChannelKind = ChannelKind.NLOS, eta_db: float = 15.0) -> None:
-        kind = ChannelKind(kind)
+                 kind: str = "nlos", eta_db: float = 15.0) -> None:
+        check_choice("kind", kind, KINDS)
         if n_tx < 1 or n_rx < 1:
             raise ValueError("array sizes must be positive")
         if not 1 <= n_paths <= MAX_PATHS:
@@ -74,7 +71,7 @@ def draw_paths(
     n_paths = params.n_paths
     omega = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
     psi = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
-    if params.kind is ChannelKind.NLOS:
+    if params.kind == "nlos":
         scale = math.sqrt(1.0 / (2.0 * n_paths))
         coeff = scale * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
     else:

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .arrays import DEFAULT_GRID_POINTS
-from .codebooks import export_codebook, generate_codebook, validate_codebook
+from .channels import KINDS
+from .codebooks import METHODS, export_codebook, generate_codebook, validate_codebook
 from .experiments import (
     _DEFAULT_SNR_GRID,
     DEFAULT_PATTERN_CODEWORDS,
@@ -27,7 +28,7 @@ from .experiments import (
     run_received_power,
     run_success_rate,
 )
-from .search import AdjudicationPolicy, lockstep_adjudicate
+from .search import POLICIES, POWER_MODES, lockstep_adjudicate
 
 __all__ = ["main", "entrypoint"]
 
@@ -36,7 +37,6 @@ __all__ = ["main", "entrypoint"]
 TRACE_COLUMNS = (
     "stage", "side", "candidate_1", "candidate_2", "winner", "y_power", "noiseless_gain",
 )
-METHOD_CHOICES = ("bmw-ss", "deact")
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -49,8 +49,8 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 def _csv_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     for method in methods:
-        if method not in METHOD_CHOICES:
-            choices = ", ".join(map(repr, METHOD_CHOICES))
+        if method not in METHODS:
+            choices = ", ".join(map(repr, METHODS))
             raise argparse.ArgumentTypeError(f"invalid choice: {method!r} (choose from {choices})")
     return methods
 
@@ -70,23 +70,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key = value file providing defaults for this command")
 
 
+class _BothSizes(argparse.Action):
+    """``--n`` sets both array sizes where it stands, so the later of it and
+    an explicit ``--n-tx`` or ``--n-rx`` wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.n_tx = namespace.n_rx = values
+
+
 def _add_channel_options(parser: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
     parser.add_argument("--n-tx", type=int, default=64)
     parser.add_argument("--n-rx", type=int, default=64)
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=int, action=_BothSizes,
                         help="shorthand setting both --n-tx and --n-rx")
     parser.add_argument("--methods", type=_csv_methods, default=methods,
                         help="comma-separated codebook methods to compare")
     parser.add_argument("--paths", type=int, default=3, help="number of multipath components")
     parser.add_argument("--eta-db", type=float, default=15.0,
                         help="dominant-to-diffuse path power gap for the los kind (dB)")
-    parser.add_argument("--power-mode", choices=("total", "per-antenna"), default="total")
+    parser.add_argument("--power-mode", choices=POWER_MODES, default="total")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None, help="CSV destination")
 
 
 def _add_mc_options(parser: argparse.ArgumentParser) -> None:
-    _add_channel_options(parser, METHOD_CHOICES)
+    _add_channel_options(parser, METHODS)
     parser.add_argument("--realizations", "-r", type=int, default=1000)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes over realizations (results identical for any value)")
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cb = sub.add_parser("codebook", help="generate, export, and validate a codebook")
     _add_common(p_cb)
-    p_cb.add_argument("--method", choices=("deact", "bmw-ss"), required=True)
+    p_cb.add_argument("--method", choices=METHODS, required=True)
     p_cb.add_argument("--n", type=int, required=True, help="array size (power of two)")
     p_cb.add_argument("--validate", action="store_true",
                       help="run the per-layer coverage and parent-child containment checks")
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pat = sub.add_parser("pattern", help="export beam patterns over the angle grid")
     _add_common(p_pat)
-    p_pat.add_argument("--method", choices=("deact", "bmw-ss"), required=True)
+    p_pat.add_argument("--method", choices=METHODS, required=True)
     p_pat.add_argument("--n", type=int, required=True)
     p_pat.add_argument("--codewords", type=_codeword_list,
                        default=DEFAULT_PATTERN_CODEWORDS,
@@ -133,19 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_search)
     _add_channel_options(p_search, ("bmw-ss",))
-    p_search.add_argument("--channel", choices=("los", "nlos"), default="nlos")
+    p_search.add_argument("--channel", choices=KINDS, default="nlos")
     p_search.add_argument("--snr-db", type=float, default=40.0)
 
     p_pow = sub.add_parser("mc-power", help="received power per search step (Monte Carlo)")
     _add_common(p_pow)
     _add_mc_options(p_pow)
-    p_pow.add_argument("--channel", choices=("los", "nlos", "both"), default="both")
+    p_pow.add_argument("--channel", choices=(*KINDS, "both"), default="both")
     p_pow.add_argument("--snr-db", type=float, default=40.0)
 
     p_suc = sub.add_parser("mc-success", help="success rate over an SNR sweep (Monte Carlo)")
     _add_common(p_suc)
     _add_mc_options(p_suc)
-    p_suc.add_argument("--channel", choices=("los", "nlos"), default="nlos")
+    p_suc.add_argument("--channel", choices=KINDS, default="nlos")
     p_suc.add_argument("--snr-grid", type=_csv_floats, default=_DEFAULT_SNR_GRID,
                        help="comma-separated SNR points in dB")
 
@@ -191,11 +199,9 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfig:
-    n_tx = args.n if args.n is not None else args.n_tx
-    n_rx = args.n if args.n is not None else args.n_rx
     return ExperimentConfig(
-        n_tx=n_tx,
-        n_rx=n_rx,
+        n_tx=args.n_tx,
+        n_rx=args.n_rx,
         methods=args.methods,
         channel=channel,
         n_paths=args.paths,
@@ -211,7 +217,7 @@ def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfi
 
 def _cmd_codebook(args) -> int:
     cb = generate_codebook(args.method, args.n)
-    print(f"generated {cb.method.value} codebook: n={cb.n}, layers={cb.depth + 1}, "
+    print(f"generated {cb.method} codebook: n={cb.n}, layers={cb.depth + 1}, "
           f"codewords={2 ** (cb.depth + 1) - 1}")
     if args.out is not None:
         export_codebook(cb, args.out)
@@ -268,8 +274,8 @@ def _cmd_search(args) -> int:
     print(f"found pair (tx={tx}, rx={rx}); "
           f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gains[0]:.5g}")
     flags = lockstep_adjudicate(out.pairs[:, None], block, best_pairs)[0, 0].tolist()
-    for policy, success in zip(AdjudicationPolicy, flags):
-        print(f"policy {policy.value}: {'success' if success else 'failure'}")
+    for policy, success in zip(POLICIES, flags):
+        print(f"policy {policy}: {'success' if success else 'failure'}")
     if args.out is not None:
         ExperimentResult(columns=TRACE_COLUMNS, rows=trace).write_csv(args.out)
         print(f"wrote {args.out}")
@@ -284,11 +290,11 @@ def _cmd_mc_power(args) -> int:
         print(f"wrote {args.out}")
     else:
         for kind in cfg.kinds:
-            bound = result.stats["bound_db"][kind.value]
-            print(f"[{kind.value}] exhaustive bound {bound:.2f} dB")
+            bound = result.stats["bound_db"][kind]
+            print(f"[{kind}] exhaustive bound {bound:.2f} dB")
             for method in cfg.methods:
-                final = result.stats["power"][(kind.value, method)]["mean_power_db"][-1]
-                print(f"[{kind.value}] {method}: final step {final:.2f} dB")
+                final = result.stats["power"][(kind, method)]["mean_power_db"][-1]
+                print(f"[{kind}] {method}: final step {final:.2f} dB")
     print(f"elapsed {result.meta['elapsed_s']:.1f} s over {cfg.realizations} realizations")
     return 0
 

@@ -16,7 +16,6 @@ every other layer each codeword is a beam rotation of the first.
 
 from __future__ import annotations
 
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .arrays import (
     ReadOnly,
     active_counts,
     angle_grid,
+    check_choice,
     check_grid,
     coverage_factor_rho,
     coverage_gains,
@@ -37,7 +37,7 @@ from .arrays import (
 )
 
 __all__ = [
-    "CodebookMethod",
+    "METHODS",
     "Codebook",
     "check_array_size",
     "generate_codebook",
@@ -51,10 +51,8 @@ __all__ = [
 
 _FORMAT_TAG = "beamtrain-codebook-v1"
 
-
-class CodebookMethod(str, Enum):
-    DEACT = "deact"
-    BMW_SS = "bmw-ss"
+# The built-in constructions, in the order a Monte-Carlo run compares them.
+METHODS = ("bmw-ss", "deact")
 
 
 def check_array_size(n: int, minimum: int = 1) -> int:
@@ -83,8 +81,8 @@ class Codebook(ReadOnly):
     active antennas.  Files, traces and reports number codewords from 1.
     """
 
-    def __init__(self, n: int, method: CodebookMethod | str, layers) -> None:
-        method = CodebookMethod(method)
+    def __init__(self, n: int, method: str, layers) -> None:
+        check_choice("method", method, METHODS)
         depth = check_array_size(n)
         if len(layers) != depth + 1:
             raise ValueError(f"a codebook for N={n} has {depth + 1} layers, got {len(layers)}")
@@ -121,7 +119,7 @@ def generate_deact(n: int) -> Codebook:
         first[:size] = steering_weights(size, -1.0 + 1.0 / size)
         layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
     layers.append(steering_matrix(n).T)
-    return Codebook(n=n, method=CodebookMethod.DEACT, layers=tuple(layers))
+    return Codebook(n=n, method="deact", layers=tuple(layers))
 
 
 def generate_bmw_ss(n: int) -> Codebook:
@@ -149,14 +147,12 @@ def generate_bmw_ss(n: int) -> Codebook:
         first /= np.linalg.norm(first)
         layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
     layers.append(steering_matrix(n).T)
-    return Codebook(n=n, method=CodebookMethod.BMW_SS, layers=tuple(layers))
+    return Codebook(n=n, method="bmw-ss", layers=tuple(layers))
 
 
-def generate_codebook(method: CodebookMethod | str, n: int) -> Codebook:
-    method = CodebookMethod(method)
-    if method is CodebookMethod.DEACT:
-        return generate_deact(n)
-    return generate_bmw_ss(n)
+def generate_codebook(method: str, n: int) -> Codebook:
+    check_choice("method", method, METHODS)
+    return generate_deact(n) if method == "deact" else generate_bmw_ss(n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +213,8 @@ def validate_codebook(
     parent's shoulders faster than the children's; the per-beam factor is the
     threshold at which a steered beam's coverage equals its designed width.
     """
+    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
+        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
     check_grid(grid_points, cb.n)  # refuse an oversized grid before angle_grid builds it
     points = angle_grid(grid_points)
     uncovered, violations = [], []
@@ -262,7 +260,7 @@ def export_codebook(cb: Codebook, path) -> None:
     Weights are printed with 17 significant digits, which round-trips IEEE
     doubles exactly.
     """
-    lines = [_FORMAT_TAG, f"n {cb.n}", f"method {cb.method.value}", f"depth {cb.depth}"]
+    lines = [_FORMAT_TAG, f"n {cb.n}", f"method {cb.method}", f"depth {cb.depth}"]
     for k, (layer, counts) in enumerate(zip(cb.layers, cb.active_counts)):
         for i, (row, active) in enumerate(zip(layer, counts)):
             parts = [f"codeword {k} {i + 1} {active}"]
@@ -289,7 +287,6 @@ def load_codebook(path) -> Codebook:
         if key not in header:
             raise ValueError(f"missing header line '{key}'")
     n = int(header["n"])
-    method = CodebookMethod(header["method"])
     depth = int(header["depth"])
     rows: dict[tuple[int, int], np.ndarray] = {}
     stored_counts: dict[tuple[int, int], int] = {}
@@ -317,7 +314,7 @@ def load_codebook(path) -> Codebook:
             raise ValueError(f"missing codeword {exc} in layer {k}") from exc
     if rows:
         raise ValueError("file contains extra codeword records")
-    cb = Codebook(n=n, method=method, layers=tuple(layers))
+    cb = Codebook(n=n, method=header["method"], layers=tuple(layers))
     for (k, index), active in stored_counts.items():
         if cb.active_counts[k][index - 1] != active:
             raise ValueError(f"codeword ({k},{index}) active_count mismatch")

@@ -29,13 +29,14 @@ from .arrays import (
     ReadOnly,
     angle_grid,
     beam_gain,
+    check_choice,
     check_grid,
 )
-from .channels import ChannelKind, ChannelParams, draw_paths
-from .codebooks import Codebook, CodebookMethod, check_array_size, generate_codebook
+from .channels import KINDS, ChannelParams, draw_paths
+from .codebooks import METHODS, Codebook, check_array_size, generate_codebook
 from .search import (
-    AdjudicationPolicy,
-    PowerMode,
+    POLICIES,
+    POWER_MODES,
     PowerModel,
     PathBlock,
     lockstep_adjudicate,
@@ -69,7 +70,7 @@ SUCCESS_COLUMNS = ("snr_db", "method", "policy", "success", "stderr")
 DEFAULT_PATTERN_CODEWORDS = ((2, 1), (2, 2), (1, 1), (1, 2), (0, 1))
 
 # Stable per-kind ids so channel draws do not depend on which kinds a run asks for.
-_KIND_ID = {ChannelKind.LOS: 0, ChannelKind.NLOS: 1}
+_KIND_ID = {"los": 0, "nlos": 1}
 
 _DEFAULT_SNR_GRID = tuple(float(x) for x in range(0, 45, 5))
 
@@ -88,28 +89,29 @@ class ExperimentConfig(ReadOnly):
         self,
         n_tx: int = 64,
         n_rx: int = 64,
-        methods: tuple[str, ...] = (CodebookMethod.BMW_SS.value, CodebookMethod.DEACT.value),
+        methods: tuple[str, ...] = METHODS,
         channel: str = "nlos",
         n_paths: int = 3,
         eta_db: float = 15.0,
-        power_mode: str = PowerMode.TOTAL.value,
+        power_mode: str = "total",
         snr_db: tuple[float, ...] = _DEFAULT_SNR_GRID,
         realizations: int = 1000,
         seed: int = 1,
         jobs: int = 1,
     ) -> None:
-        methods = tuple(CodebookMethod(m).value for m in methods)
+        methods = tuple(methods)
+        for method in methods:
+            check_choice("method", method, METHODS)
         if len(set(methods)) < len(methods):
             raise ValueError(f"methods must not repeat, got {','.join(methods)}")
-        power_mode = PowerMode(power_mode).value
+        check_choice("power_mode", power_mode, POWER_MODES)
         snr = tuple(float(x) for x in snr_db)
         if n_tx < 2 or n_rx < 2:
             raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
         n_steps = check_array_size(n_tx) + check_array_size(n_rx)
         if not methods:
             raise ValueError("need at least one codebook method")
-        if channel not in ("los", "nlos", "both"):
-            raise ValueError("channel must be los, nlos, or both")
+        check_choice("channel", channel, (*KINDS, "both"))
         ascending = all(b > a for a, b in zip(snr, snr[1:]))
         if not snr or not ascending or not all(map(math.isfinite, snr)):
             raise ValueError("snr_db must be non-empty, finite and strictly ascending")
@@ -127,7 +129,7 @@ class ExperimentConfig(ReadOnly):
         # The larger of a run's result arrays: success flags per SNR point and
         # policy, or winner powers per channel kind and step.
         cells = realizations * len(methods) * max(
-            len(snr) * len(AdjudicationPolicy), len(self.kinds) * n_steps
+            len(snr) * len(POLICIES), len(self.kinds) * n_steps
         )
         if cells > MAX_GRID_CELLS:
             raise ValueError(
@@ -142,15 +144,13 @@ class ExperimentConfig(ReadOnly):
             self.power_model(x)  # checks each noise floor is finite up front
 
     @property
-    def kinds(self) -> tuple[ChannelKind, ...]:
-        if self.channel == "both":
-            return (ChannelKind.LOS, ChannelKind.NLOS)
-        return (ChannelKind(self.channel),)
+    def kinds(self) -> tuple[str, ...]:
+        return KINDS if self.channel == "both" else (self.channel,)
 
     def power_model(self, snr_db: float) -> PowerModel:
         return PowerModel.from_snr_db(self.power_mode, snr_db)
 
-    def channel_params(self, kind: ChannelKind) -> ChannelParams:
+    def channel_params(self, kind: str) -> ChannelParams:
         return self._params[kind]
 
 
@@ -174,14 +174,7 @@ class ExperimentResult:
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_format_cell(cell) for cell in row])
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+            writer.writerows(self.rows)
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -261,7 +254,7 @@ def _streams(states):
         yield rng
 
 
-def _draw_block(cfg: ExperimentConfig, kind: ChannelKind, entropies) -> tuple[PathBlock, list]:
+def _draw_block(cfg: ExperimentConfig, kind: str, entropies) -> tuple[PathBlock, list]:
     """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
     two children; the first draws the paths (:func:`draw_paths`), the second
     seeds the search noise, which every method reuses.  Returns a block's
@@ -285,7 +278,7 @@ def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:
     return noise
 
 
-def _search_block(cfg: ExperimentConfig, kind: ChannelKind, pairs, pm: PowerModel, entropies):
+def _search_block(cfg: ExperimentConfig, kind: str, pairs, pm: PowerModel, entropies):
     """One block of realizations, one per entropy: its paths, the noiseless
     oracle's (pairs, gains), and one lockstep search per codebook pair."""
     block, seeds = _draw_block(cfg, kind, entropies)
@@ -359,8 +352,8 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
     for ki, kind in enumerate(kinds):
         bound_w = float(np.mean(bounds[:, ki]))
         bound_db = _db(bound_w)
-        stats["bound_w"][kind.value] = bound_w
-        stats["bound_db"][kind.value] = bound_db
+        stats["bound_w"][kind] = bound_w
+        stats["bound_db"][kind] = bound_db
         for mi, method in enumerate(cfg.methods):
             samples = winners[:, ki, mi, :]
             mean_w = np.mean(samples, axis=0)
@@ -371,7 +364,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
                     for s in range(cfg.n_steps)
                 ]
             )
-            stats["power"][(kind.value, method)] = {
+            stats["power"][(kind, method)] = {
                 "mean_power_w": mean_w,
                 "mean_power_db": mean_db,
                 "stderr_db": stderr_db,
@@ -381,7 +374,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
                     (
                         s + 1,
                         method,
-                        kind.value,
+                        kind,
                         float(mean_w[s]),
                         float(mean_db[s]),
                         float(stderr_db[s]),
@@ -422,22 +415,22 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[tuple] = []
     stats: dict = {"success": {}, "stderr": {}}
     for mi, method in enumerate(cfg.methods):
-        for pi, policy in enumerate(AdjudicationPolicy):
+        for pi, policy in enumerate(POLICIES):
             vals = flags[:, :, mi, pi].astype(float)
             rate = np.mean(vals, axis=0)
             se = np.array([_stderr(vals[:, si]) for si in range(len(cfg.snr_db))])
-            stats["success"][(method, policy.value)] = rate
-            stats["stderr"][(method, policy.value)] = se
+            stats["success"][(method, policy)] = rate
+            stats["stderr"][(method, policy)] = se
     for si, snr_db in enumerate(cfg.snr_db):
         for method in cfg.methods:
-            for policy in AdjudicationPolicy:
+            for policy in POLICIES:
                 rows.append(
                     (
                         float(snr_db),
                         method,
-                        policy.value,
-                        float(stats["success"][(method, policy.value)][si]),
-                        float(stats["stderr"][(method, policy.value)][si]),
+                        policy,
+                        float(stats["success"][(method, policy)][si]),
+                        float(stats["stderr"][(method, policy)][si]),
                     )
                 )
     meta = {"elapsed_s": time.monotonic() - t0}
@@ -453,7 +446,7 @@ _DB_FLOOR = 1e-9  # linear floor before taking logs, keeps nulls finite
 
 
 def run_beam_patterns(
-    method: CodebookMethod | str,
+    method: str,
     n: int,
     codewords=DEFAULT_PATTERN_CODEWORDS,
     grid_points: int = DEFAULT_GRID_POINTS,

@@ -20,18 +20,17 @@ blocks of many realizations; the ``search`` demo passes a block of one.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .arrays import ReadOnly, leaf_angles, steering_matrix, steering_weights
+from .arrays import ReadOnly, check_choice, leaf_angles, steering_matrix, steering_weights
 from .channels import db_to_linear
 from .codebooks import Codebook
 
 __all__ = [
-    "PowerMode",
+    "POWER_MODES",
     "PowerModel",
-    "AdjudicationPolicy",
+    "POLICIES",
     "nearest_leaf",
     "PathBlock",
     "LockstepOutcome",
@@ -41,9 +40,9 @@ __all__ = [
 ]
 
 
-class PowerMode(str, Enum):
-    TOTAL = "total"
-    PER_ANTENNA = "per-antenna"
+POWER_MODES = ("total", "per-antenna")
+# The success criteria, in the order of lockstep_adjudicate's last axis.
+POLICIES = ("match-exhaustive", "align-any-mpc", "align-strongest")
 
 
 class PowerModel(ReadOnly):
@@ -55,30 +54,24 @@ class PowerModel(ReadOnly):
     count.
     """
 
-    def __init__(self, mode: PowerMode | str, noise_power: float) -> None:
-        mode = PowerMode(mode)
+    def __init__(self, mode: str, noise_power: float) -> None:
+        check_choice("mode", mode, POWER_MODES)
         if noise_power < 0.0:
             raise ValueError("noise power must be non-negative")
         vars(self).update(mode=mode, noise_power=noise_power)
 
     @classmethod
-    def from_snr_db(cls, mode: PowerMode | str, snr_db: float) -> "PowerModel":
+    def from_snr_db(cls, mode: str, snr_db: float) -> "PowerModel":
         """Set the noise floor so that one watt over it is the requested SNR."""
         noise_power = db_to_linear(-snr_db)
         if not math.isfinite(noise_power):
             raise ValueError(f"snr_db={snr_db} puts the noise floor out of float range")
-        return cls(PowerMode(mode), noise_power)
+        return cls(mode, noise_power)
 
     def scale(self, n_tx_active):
         """Radiated power of a transmit codeword with the given active count:
         the measurement is ``sqrt(scale) g + n`` and the gain ``scale |g|^2``."""
-        return 1 if self.mode is PowerMode.TOTAL else n_tx_active
-
-
-class AdjudicationPolicy(str, Enum):
-    MATCH_EXHAUSTIVE = "match-exhaustive"
-    ALIGN_ANY_MPC = "align-any-mpc"
-    ALIGN_STRONGEST = "align-strongest"
+        return 1 if self.mode == "total" else n_tx_active
 
 
 def nearest_leaf(n: int, angle):
@@ -253,8 +246,8 @@ def lockstep_adjudicate(
     pairs: np.ndarray, block: PathBlock, exhaustive_pairs: np.ndarray
 ) -> np.ndarray:
     """Decide, for each of B realizations and M searches, whether the search
-    succeeded under each :class:`AdjudicationPolicy`, in the enum's order:
-    a (B, M, 3) bool array.
+    succeeded under each of the :data:`POLICIES`, in their order: a (B, M,
+    3) bool array.
 
     ``pairs`` (B, M, 2) holds the found 1-based (tx, rx) pairs, as from M
     :func:`lockstep_search` runs, and ``exhaustive_pairs`` (B, 2) those of

@@ -16,7 +16,7 @@ import numpy as np
 
 from beamtrain.arrays import steering_matrix, steering_weights
 from beamtrain.channels import draw_paths
-from beamtrain.search import AdjudicationPolicy, nearest_leaf
+from beamtrain.search import nearest_leaf
 
 
 def channel_matrix(n_tx, n_rx, coeff, omega, psi):
@@ -74,11 +74,10 @@ def exhaustive(h, power_model):
 def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):
     """Whether the found ``pair`` succeeds under ``policy`` on the channel of
     ``paths`` ``(coeff, omega, psi)``."""
-    policy = AdjudicationPolicy(policy)
-    if policy is AdjudicationPolicy.MATCH_EXHAUSTIVE:
+    if policy == "match-exhaustive":
         return pair == exhaustive_pair
     paths = list(zip(*paths))
-    if policy is AdjudicationPolicy.ALIGN_STRONGEST:
+    if policy == "align-strongest":
         paths = [max(paths, key=lambda path: abs(path[0]))]
     return any(pair == (nearest_leaf(n_tx, p), nearest_leaf(n_rx, o)) for _, o, p in paths)
 

@@ -65,7 +65,7 @@ def test_criterion_02_criteria_validation_rho_half():
             if not report.passed:
                 worst1 = max(gap.size for gap in report.uncovered)
                 worst2 = max(points.size for parents in report.violations for points in parents)
-                failures.append(f"{cb.method.value}/N={n} (c1:{worst1} c2:{worst2} pts)")
+                failures.append(f"{cb.method}/N={n} (c1:{worst1} c2:{worst2} pts)")
     gate(
         "2 criteria validation at rho=0.5",
         not failures,
@@ -118,7 +118,7 @@ def test_criterion_04_structural_identities():
                 for i, row in enumerate(layer):
                     want = rotate(layer[0], 2 * i / 2**k)
                     if np.max(np.abs(row - want)) > 1e-12:
-                        problems.append(f"{cb.method.value} rotation at N={n} layer {k}")
+                        problems.append(f"{cb.method} rotation at N={n} layer {k}")
                         break
     gate(
         "4 structural identities",

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import reference
-from beamtrain import ChannelKind, ChannelParams, PowerModel, draw_paths, steering_weights
+from beamtrain import ChannelParams, PowerModel, draw_paths, steering_weights
 from beamtrain.arrays import MAX_PATHS
 from beamtrain.search import PathBlock, lockstep_exhaustive
 
@@ -41,7 +41,7 @@ class TestSampling:
 
     def test_matrix_matches_path_sum(self):
         # The engine's per-path responses rebuild the dense channel.
-        params = ChannelParams(n_tx=16, n_rx=8, n_paths=4, kind=ChannelKind.NLOS)
+        params = ChannelParams(n_tx=16, n_rx=8, n_paths=4, kind="nlos")
         coeff, omega, psi = draw_paths(params, np.random.default_rng(1))
         block = PathBlock(coeff[np.newaxis], omega[np.newaxis], psi[np.newaxis], 16, 8)
         a_rx, a_tx = block.a_rx[0], block.a_tx[0]  # (L, N) each
@@ -61,14 +61,14 @@ class TestSampling:
             np.testing.assert_array_equal(x, y)
 
     def test_single_path_power_normalization(self):
-        params = ChannelParams(4, 4, 1, kind=ChannelKind.NLOS)
+        params = ChannelParams(4, 4, 1, kind="nlos")
         rng = np.random.default_rng(3)
         powers = [abs(draw_paths(params, rng)[0][0]) ** 2 for _ in range(10_000)]
         assert np.mean(powers) == pytest.approx(1.0, abs=0.05)
 
     def test_dominant_path_power_gap(self):
         gap = 10.0 ** 1.5
-        params = ChannelParams(4, 4, 3, kind=ChannelKind.LOS, eta_db=15.0)
+        params = ChannelParams(4, 4, 3, kind="los", eta_db=15.0)
         rng = np.random.default_rng(4)
         lead, diffuse = [], []
         for _ in range(4000):
@@ -80,7 +80,7 @@ class TestSampling:
         assert np.mean(lead) / np.mean(diffuse) == pytest.approx(gap, rel=0.05)
 
     def test_total_power_normalized_for_both_kinds(self):
-        for kind in (ChannelKind.NLOS, ChannelKind.LOS):
+        for kind in ("nlos", "los"):
             params = ChannelParams(4, 4, 3, kind=kind, eta_db=15.0)
             rng = np.random.default_rng(5)
             totals = [np.sum(np.abs(draw_paths(params, rng)[0]) ** 2) for _ in range(5000)]
@@ -133,11 +133,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("eta_db", [math.nan, math.inf, -math.inf])
     def test_params_reject_non_finite_eta_db(self, eta_db):
         with pytest.raises(ValueError, match="eta_db"):
-            ChannelParams(8, 8, 3, kind=ChannelKind.LOS, eta_db=eta_db)
+            ChannelParams(8, 8, 3, kind="los", eta_db=eta_db)
 
     @pytest.mark.parametrize("eta_db", [4000.0, -4000.0])
     def test_params_reject_eta_db_out_of_float_range(self, eta_db):
         # 10**(eta_db/10) overflows (or underflows to zero, which leaves a
         # one-path LOS channel with no power to normalize).
         with pytest.raises(ValueError, match="eta_db"):
-            ChannelParams(8, 8, 1, kind=ChannelKind.LOS, eta_db=eta_db)
+            ChannelParams(8, 8, 1, kind="los", eta_db=eta_db)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -274,6 +276,14 @@ class TestCriterionValidation:
         calls.clear()
         main(["codebook", "--method", method, "--n", "32", "--validate"])
         assert calls == [2**k for k in range(cb.depth + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("parent_rho", [math.nan, 0.0, 1.0, 7.0])
+def test_bad_parent_rho_is_refused_before_any_layer(n, parent_rho, monkeypatch):
+    monkeypatch.setattr("beamtrain.codebooks.coverage_gains", None)  # no layer is read
+    with pytest.raises(ValueError, match="parent_rho must lie strictly between 0 and 1"):
+        validate_codebook(generate_deact(n), parent_rho=parent_rho)
 
 
 class TestExport:

@@ -239,6 +239,14 @@ class TestDeterminism:
         run_success_rate(cfg).write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_writes_floats_as_their_repr(self, tmp_path):
+        path = tmp_path / "x.csv"
+        row = (np.float64(0.5), 1 / 3, -math.inf, math.nan, 5e-324, 1e22, 3, "deact")
+        experiments.ExperimentResult(tuple("abcdefgh"), [row]).write_csv(path)
+        assert path.read_text().splitlines() == [
+            "a,b,c,d,e,f,g,h", "0.5,0.3333333333333333,-inf,nan,5e-324,1e+22,3,deact",
+        ]
+
 
 class TestBlocks:
     def test_one_realization_per_block_changes_nothing(self, monkeypatch):

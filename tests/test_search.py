@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from beamtrain import (
-    AdjudicationPolicy,
-    ChannelKind,
     ChannelParams,
-    PowerMode,
     PowerModel,
     draw_paths,
     generate_codebook,
@@ -19,7 +16,10 @@ from beamtrain import (
 from beamtrain import cli
 from beamtrain.cli import TRACE_COLUMNS
 from beamtrain.experiments import ExperimentResult
+from beamtrain.channels import KINDS
 from beamtrain.search import (
+    POLICIES,
+    POWER_MODES,
     PathBlock,
     lockstep_adjudicate,
     lockstep_exhaustive,
@@ -74,11 +74,11 @@ def demo_trace(monkeypatch, tmp_path, *args):
 class TestPowerModel:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
-            PowerModel(PowerMode.TOTAL, -1e-4)
+            PowerModel("total", -1e-4)
 
     def test_from_snr_db(self):
         pm = PowerModel.from_snr_db("total", 40.0)
-        assert pm.mode is PowerMode.TOTAL
+        assert pm.mode == "total"
         assert pm.noise_power == pytest.approx(1e-4)
 
     def test_from_snr_db_rejects_overflowing_noise_floor(self):
@@ -209,7 +209,7 @@ class TestSearchProperties:
         method=search_methods,
         n_tx=search_sizes,
         n_rx=search_sizes,
-        kind=st.sampled_from(list(ChannelKind)),
+        kind=st.sampled_from(KINDS),
         n_paths=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         snr_db=st.floats(-10.0, 40.0),
@@ -254,8 +254,8 @@ class TestLockstepMatchesReference:
     @given(
         n_tx=search_sizes,
         n_rx=search_sizes,
-        mode=st.sampled_from(list(PowerMode)),
-        kind=st.sampled_from(list(ChannelKind)),
+        mode=st.sampled_from(POWER_MODES),
+        kind=st.sampled_from(KINDS),
         n_paths=st.integers(1, 4),
         noise_power=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
         blocks=st.integers(1, 4),
@@ -301,12 +301,12 @@ class TestLockstepMatchesReference:
                     out.y_power[i], y_power, rtol=1e-12, atol=1e-15 * max(y_power)
                 )
 
-        # One call adjudicates both methods under every policy, in the enum's order.
+        # One call adjudicates both methods under every policy, in POLICIES' order.
         flags = lockstep_adjudicate(np.stack(found, axis=1), block, best_pairs)
         assert flags.shape == (blocks, 2, 3)
         for i, m in np.ndindex(blocks, 2):
             pair, exhaustive_pair = tuple(found[m][i]), tuple(best_pairs[i])
-            for p, policy in enumerate(AdjudicationPolicy):
+            for p, policy in enumerate(POLICIES):
                 assert flags[i, m, p] == reference.adjudicate(
                     pair, exhaustive_pair, n_tx, n_rx, drawn[i], policy
                 )
@@ -400,7 +400,7 @@ class TestAdjudication:
         # dominant path's bin pair, so the two notions of success coincide.
         cb = generate_codebook("bmw-ss", 32)
         pm = PowerModel("total", 0.0)
-        params = ChannelParams(32, 32, 3, kind=ChannelKind.LOS, eta_db=40.0)
+        params = ChannelParams(32, 32, 3, kind="los", eta_db=40.0)
         block = drawn_block(params, [(40, seed) for seed in range(200)])
         found = search(cb, cb, block, pm, [(41, seed) for seed in range(200)]).pairs
         best, _ = lockstep_exhaustive(block, pm)

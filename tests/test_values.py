@@ -1,16 +1,22 @@
 """The value classes' contract: read-only fields, pickling to pool workers,
-constructor defaults and order, and per-instance result dicts."""
+constructor defaults and order, per-instance result dicts, and the errors
+that name each vocabulary's choices."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from beamtrain import ChannelParams, ExperimentConfig, PowerModel, generate_codebook
-from beamtrain.channels import ChannelKind
+from beamtrain import (
+    ChannelParams,
+    ExperimentConfig,
+    PowerModel,
+    export_codebook,
+    generate_codebook,
+    load_codebook,
+)
 from beamtrain.codebooks import CoverageReport
 from beamtrain.experiments import ExperimentResult
-from beamtrain.search import PowerMode
 
 
 # One instance of each read-only class, with a field name it has.
@@ -75,8 +81,8 @@ def test_config_defaults():
         "jobs": 1,
         "n_steps": 12,
     }
-    assert vars(cfg.channel_params(ChannelKind.NLOS)) == {
-        "n_tx": 64, "n_rx": 64, "n_paths": 3, "kind": ChannelKind.NLOS, "eta_db": 15.0,
+    assert vars(cfg.channel_params("nlos")) == {
+        "n_tx": 64, "n_rx": 64, "n_paths": 3, "kind": "nlos", "eta_db": 15.0,
     }
 
 
@@ -91,10 +97,10 @@ def test_constructors_keep_positional_order():
     assert cfg.n_steps == 7
     params = ChannelParams(8, 16, 2, "los", 10.0)
     assert (params.n_tx, params.n_rx, params.n_paths, params.kind, params.eta_db) == (
-        8, 16, 2, ChannelKind.LOS, 10.0,
+        8, 16, 2, "los", 10.0,
     )
     pm = PowerModel("per-antenna", 0.5)
-    assert (pm.mode, pm.noise_power) == (PowerMode.PER_ANTENNA, 0.5)
+    assert (pm.mode, pm.noise_power) == ("per-antenna", 0.5)
     result = ExperimentResult(("a",), [(1,)], {"s": 1}, {"m": 2})
     assert (result.columns, result.rows, result.stats, result.meta) == (
         ("a",), [(1,)], {"s": 1}, {"m": 2},
@@ -110,3 +116,29 @@ def test_results_never_share_dicts():
     assert first.stats is not second.stats and first.meta is not second.meta
     first.rows = [(1,)]  # results stay mutable
     assert first.rows == [(1,)]
+
+
+def _load_foo(tmp_path):
+    path = tmp_path / "cb.txt"
+    export_codebook(generate_codebook("deact", 4), path)
+    path.write_text(path.read_text().replace("method deact", "method foo"))
+    return load_codebook(path)
+
+
+@pytest.mark.parametrize(
+    "make, choices",
+    [
+        (lambda _: ExperimentConfig(methods=("foo",)), "bmw-ss, deact"),
+        (lambda _: ExperimentConfig(power_mode="foo"), "total, per-antenna"),
+        (lambda _: ExperimentConfig(channel="foo"), "los, nlos, both"),
+        (lambda _: PowerModel("foo", 0.0), "total, per-antenna"),
+        (lambda _: ChannelParams(8, 8, kind="foo"), "los, nlos"),
+        (lambda _: generate_codebook("foo", 8), "bmw-ss, deact"),
+        (_load_foo, "bmw-ss, deact"),
+    ],
+    ids=["methods", "power_mode", "channel", "PowerModel", "ChannelParams",
+         "generate_codebook", "load_codebook"],
+)
+def test_unknown_choice_names_the_valid_ones(make, choices, tmp_path):
+    with pytest.raises(ValueError, match=f"must be one of {choices}; got 'foo'"):
+        make(tmp_path)
