@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     run_beam_patterns,
     run_received_power,
+    run_search,
     run_success_rate,
 )
 from .search import PowerModel, nearest_leaf

@@ -18,25 +18,17 @@ from .arrays import DEFAULT_GRID_POINTS
 from .channels import KINDS
 from .codebooks import METHODS, export_codebook, generate_codebook, validate_codebook
 from .experiments import (
-    _DEFAULT_SNR_GRID,
     DEFAULT_PATTERN_CODEWORDS,
+    DEFAULT_SNR_GRID,
     ExperimentConfig,
-    ExperimentResult,
-    _codebook_pairs,
-    _search_block,
     run_beam_patterns,
     run_received_power,
+    run_search,
     run_success_rate,
 )
-from .search import POLICIES, POWER_MODES, lockstep_adjudicate
+from .search import POLICIES, POWER_MODES
 
 __all__ = ["main", "entrypoint"]
-
-# The search demo's trace: per stage, the 1-based candidates measured, the one
-# kept, and its measured |y|^2 and noiseless power gain.
-TRACE_COLUMNS = (
-    "stage", "side", "candidate_1", "candidate_2", "winner", "y_power", "noiseless_gain",
-)
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -154,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_suc)
     _add_mc_options(p_suc)
     p_suc.add_argument("--channel", choices=KINDS, default="nlos")
-    p_suc.add_argument("--snr-grid", type=_csv_floats, default=_DEFAULT_SNR_GRID,
+    p_suc.add_argument("--snr-grid", type=_csv_floats, default=DEFAULT_SNR_GRID,
                        help="comma-separated SNR points in dB")
 
     return parser
@@ -250,34 +242,17 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = _mc_config(args, args.channel, (args.snr_db,))
-    if len(cfg.methods) != 1:
-        raise ValueError("the search demo takes exactly one --methods entry")
-    pm = cfg.power_model(args.snr_db)
-    [(cb_tx, cb_rx)] = pairs = _codebook_pairs(cfg)
-    # A Monte-Carlo block of one realization, whose entropy is the seed alone.
-    block, (best_pairs, best_gains), [out] = _search_block(
-        cfg, cfg.kinds[0], pairs, pm, [(cfg.seed,)]
-    )
-    trace = []
-    # tolist() makes Python scalars, which the CSV writer formats with repr.
-    stages = zip(out.winners[0].tolist(), out.y_power[0].tolist(), out.gains[0].tolist())
-    for stage, (win, y_pow, gain) in enumerate(stages, start=1):
-        lower = win - (win + 1) % 2  # the winner or its sibling: lower children are odd
-        side = "rx" if stage <= cb_rx.depth else "tx"
-        trace.append((stage, side, lower, lower + 1, win, y_pow, gain))
-    print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} "
-          f"{'y_power':>12} {'gain':>12}")
-    for stage, side, c1, c2, win, y_pow, gain in trace:
+    result = run_search(_mc_config(args, args.channel, (args.snr_db,)))
+    print(f"{'stage':>5} {'side':>4} {'cands':>9} {'winner':>6} {'y_power':>12} {'gain':>12}")
+    for stage, side, c1, c2, win, y_pow, gain in result.rows:
         print(f"{stage:>5} {side:>4} {f'({c1},{c2})':>9} {win:>6} {y_pow:>12.5g} {gain:>12.5g}")
-    (tx, rx), (tx_best, rx_best) = out.pairs[0].tolist(), best_pairs[0].tolist()
-    print(f"found pair (tx={tx}, rx={rx}); "
-          f"exhaustive pair (tx={tx_best}, rx={rx_best}), bound gain {best_gains[0]:.5g}")
-    flags = lockstep_adjudicate(out.pairs[:, None], block, best_pairs)[0, 0].tolist()
-    for policy, success in zip(POLICIES, flags):
+    (tx, rx), (tx_best, rx_best) = result.stats["pair"], result.stats["best_pair"]
+    print(f"found pair (tx={tx}, rx={rx}); exhaustive pair (tx={tx_best}, rx={rx_best}), "
+          f"bound gain {result.stats['bound_gain']:.5g}")
+    for policy, success in zip(POLICIES, result.stats["success"]):
         print(f"policy {policy}: {'success' if success else 'failure'}")
     if args.out is not None:
-        ExperimentResult(columns=TRACE_COLUMNS, rows=trace).write_csv(args.out)
+        result.write_csv(args.out)
         print(f"wrote {args.out}")
     return 0
 

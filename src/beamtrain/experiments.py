@@ -1,5 +1,5 @@
-"""Monte-Carlo harness: beam-pattern export, per-step received power, and
-success-rate sweeps, with deterministic seeding and CSV emission.
+"""Monte-Carlo harness: beam-pattern export, per-step received power, success-rate
+sweeps and the search demo's trace, with deterministic seeding and CSV emission.
 
 Every channel realization owns an RNG stream derived from the base seed and
 the realization's coordinates, so results are a pure function of the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import time
 
@@ -50,9 +51,12 @@ __all__ = [
     "run_beam_patterns",
     "run_received_power",
     "run_success_rate",
+    "run_search",
     "POWER_COLUMNS",
     "SUCCESS_COLUMNS",
+    "TRACE_COLUMNS",
     "DEFAULT_PATTERN_CODEWORDS",
+    "DEFAULT_SNR_GRID",
 ]
 
 POWER_COLUMNS = (
@@ -67,12 +71,25 @@ POWER_COLUMNS = (
 
 SUCCESS_COLUMNS = ("snr_db", "method", "policy", "success", "stderr")
 
+# Per search stage: the 1-based candidates measured, the one kept, its |y|^2 and noiseless gain.
+TRACE_COLUMNS = (
+    "stage", "side", "candidate_1", "candidate_2", "winner", "y_power", "noiseless_gain",
+)
+
 DEFAULT_PATTERN_CODEWORDS = ((2, 1), (2, 2), (1, 1), (1, 2), (0, 1))
 
 # Stable per-kind ids so channel draws do not depend on which kinds a run asks for.
 _KIND_ID = {"los": 0, "nlos": 1}
 
-_DEFAULT_SNR_GRID = tuple(float(x) for x in range(0, 45, 5))
+DEFAULT_SNR_GRID = tuple(float(x) for x in range(0, 45, 5))
+
+
+def _index(name: str, value) -> int:
+    """``value`` as a Python int, or a ``ValueError`` naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ExperimentConfig(ReadOnly):
@@ -94,11 +111,19 @@ class ExperimentConfig(ReadOnly):
         n_paths: int = 3,
         eta_db: float = 15.0,
         power_mode: str = "total",
-        snr_db: tuple[float, ...] = _DEFAULT_SNR_GRID,
+        snr_db: tuple[float, ...] = DEFAULT_SNR_GRID,
         realizations: int = 1000,
         seed: int = 1,
         jobs: int = 1,
     ) -> None:
+        # Types first: a bare str would split into characters, a float count truncate.
+        if isinstance(methods, str) or not np.iterable(methods):
+            raise ValueError(f"methods must be a sequence of method names, got {methods!r}")
+        if isinstance(snr_db, str) or not np.iterable(snr_db):
+            raise ValueError(f"snr_db must be a sequence of numbers, got {snr_db!r}")
+        n_tx, n_rx = _index("n_tx", n_tx), _index("n_rx", n_rx)
+        n_paths, realizations = _index("n_paths", n_paths), _index("realizations", realizations)
+        seed, jobs = _index("seed", seed), _index("jobs", jobs)
         methods = tuple(methods)
         for method in methods:
             check_choice("method", method, METHODS)
@@ -435,6 +460,32 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
                 )
     meta = {"elapsed_s": time.monotonic() - t0}
     return ExperimentResult(columns=SUCCESS_COLUMNS, rows=rows, stats=stats, meta=meta)
+
+
+def run_search(cfg: ExperimentConfig) -> ExperimentResult:
+    """One search on one drawn channel, a trace row per stage.  ``stats``: the found and
+    exhaustive (tx, rx) ``pair`` and ``best_pair``, ``bound_gain``, ``POLICIES``' ``success``."""
+    if len(cfg.methods) != 1:
+        raise ValueError("the search demo takes exactly one --methods entry")
+    if len(cfg.snr_db) != 1:
+        raise ValueError("the search demo uses exactly one snr_db point")
+    if cfg.channel == "both":
+        raise ValueError("the search demo uses a single channel kind")
+    [(cb_tx, cb_rx)] = pairs = _codebook_pairs(cfg)
+    pm = cfg.power_model(cfg.snr_db[0])
+    # A Monte-Carlo block of one realization, whose entropy is the seed alone.
+    block, (best, bound), [out] = _search_block(cfg, cfg.kinds[0], pairs, pm, [(cfg.seed,)])
+    rows = []
+    # tolist() makes Python scalars, which the CSV writer formats with repr.
+    stages = zip(out.winners[0].tolist(), out.y_power[0].tolist(), out.gains[0].tolist())
+    for stage, (win, y_pow, gain) in enumerate(stages, start=1):
+        lower = win - (win + 1) % 2  # the winner or its sibling: lower children are odd
+        side = "rx" if stage <= cb_rx.depth else "tx"
+        rows.append((stage, side, lower, lower + 1, win, y_pow, gain))
+    flags = lockstep_adjudicate(out.pairs[:, None], block, best)[0, 0].tolist()
+    stats = {"pair": tuple(out.pairs[0].tolist()), "best_pair": tuple(best[0].tolist()),
+             "bound_gain": float(bound[0]), "success": tuple(flags)}
+    return ExperimentResult(columns=TRACE_COLUMNS, rows=rows, stats=stats)
 
 
 # ---------------------------------------------------------------------------

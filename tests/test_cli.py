@@ -40,6 +40,35 @@ stage,side,candidate_1,candidate_2,winner,y_power,noiseless_gain
 6,tx,7,8,7,37.01303950081191,37.08049025463053
 """
 
+# `search --n-tx 8 --n-rx 32 --power-mode per-antenna --seed 3`: unequal
+# arrays, so the rx side has more stages than the tx side.
+PINNED_SEARCH_8X32_STDOUT = """\
+stage side     cands winner      y_power         gain
+    1   rx     (1,2)      2       7.6317       7.6432
+    2   rx     (3,4)      4       7.5688       7.5644
+    3   rx     (7,8)      8       26.869       26.928
+    4   rx   (15,16)     15       39.292       39.385
+    5   rx   (29,30)     29       42.801       42.861
+    6   tx     (1,2)      1       145.92       145.92
+    7   tx     (1,2)      1       158.26       158.13
+    8   tx     (1,2)      2       331.38       331.18
+found pair (tx=2, rx=29); exhaustive pair (tx=2, rx=29), bound gain 331.18
+policy match-exhaustive: success
+policy align-any-mpc: success
+policy align-strongest: success
+"""
+PINNED_SEARCH_8X32_CSV = """\
+stage,side,candidate_1,candidate_2,winner,y_power,noiseless_gain
+1,rx,1,2,2,7.6316718528418575,7.643221647083483
+2,rx,3,4,4,7.568800152846889,7.564413151551644
+3,rx,7,8,8,26.86865321978336,26.92756354986171
+4,rx,15,16,15,39.29157510711263,39.38508258016527
+5,rx,29,30,29,42.80098439083463,42.8610845563948
+6,tx,1,2,1,145.91795326989347,145.9223646823565
+7,tx,1,2,1,158.25697553834013,158.1257661213044
+8,tx,1,2,2,331.37526504135826,331.1766753974634
+"""
+
 
 class TestCodebookCommand:
     def test_generate_and_export(self, tmp_path, capsys):
@@ -100,6 +129,16 @@ class TestSearchCommand:
         assert code == 0
         assert capsys.readouterr().out == PINNED_SEARCH_STDOUT + f"wrote {out}\n"
         assert out.read_text() == PINNED_SEARCH_CSV
+
+    def test_unequal_array_output_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = run_cli(
+            "search", "--n-tx", "8", "--n-rx", "32", "--power-mode", "per-antenna",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        assert capsys.readouterr().out == PINNED_SEARCH_8X32_STDOUT + f"wrote {out}\n"
+        assert out.read_text() == PINNED_SEARCH_8X32_CSV
 
     def test_requires_single_method(self, capsys):
         assert run_cli("search", "--n", "16", "--methods", "bmw-ss,deact") == 2

@@ -24,3 +24,14 @@ def test_public_names_resolve():
             module = importlib.import_module(f"beamtrain.{node.module}")
             unlisted = [alias.name for alias in node.names if alias.name not in module.__all__]
             assert not unlisted, f"beamtrain imports {unlisted} from {node.module}, not its __all__"
+
+
+def test_modules_import_no_private_names():
+    # A module reaches another only through its public names.
+    for path in sorted(Path(beamtrain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "beamtrain"
+            ):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"

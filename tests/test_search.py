@@ -13,9 +13,8 @@ from beamtrain import (
     nearest_leaf,
     steering_weights,
 )
-from beamtrain import cli
-from beamtrain.cli import TRACE_COLUMNS
-from beamtrain.experiments import ExperimentResult
+from beamtrain import ExperimentConfig, run_search
+from beamtrain.experiments import TRACE_COLUMNS
 from beamtrain.channels import KINDS
 from beamtrain.search import (
     POLICIES,
@@ -56,19 +55,9 @@ def search(cb_tx, cb_rx, block, pm, seeds):
     return lockstep_search(cb_tx, cb_rx, block, pm, noise_for(cb_tx, cb_rx, seeds))
 
 
-def demo_trace(monkeypatch, tmp_path, *args):
-    """The rows the ``search`` demo writes to its trace CSV."""
-    written = []
-    write_csv = ExperimentResult.write_csv
-
-    def capture(result, path):
-        written.append(result.rows)
-        write_csv(result, path)
-
-    monkeypatch.setattr(ExperimentResult, "write_csv", capture)
-    assert cli.main(["search", *args, "--out", str(tmp_path / "trace.csv")]) == 0
-    [rows] = written
-    return rows
+def demo_trace(**fields):
+    """The ``search`` demo's trace, at its one default SNR point of 40 dB."""
+    return run_search(ExperimentConfig(snr_db=(40.0,), realizations=1, **fields))
 
 
 class TestPowerModel:
@@ -408,18 +397,31 @@ class TestAdjudication:
         agree = flags[:, 0] == flags[:, 2]  # match-exhaustive, align-strongest
         assert np.count_nonzero(agree) >= 198
 
-    def test_trace_rows_follow_schema(self, monkeypatch, tmp_path):
-        rows = demo_trace(monkeypatch, tmp_path, "--n", "8", "--methods", "deact", "--paths", "1")
+    def test_trace_rows_follow_schema(self, tmp_path):
+        trace = demo_trace(n_tx=8, n_rx=8, methods=("deact",), n_paths=1)
+        rows = trace.rows
         assert len(rows) == 6
         assert len(TRACE_COLUMNS) == len(rows[0]) == 7
         assert rows[0][1] == "rx" and rows[-1][1] == "tx"
+        trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(TRACE_COLUMNS)
 
-    def test_trace_cells_are_python_scalars(self, monkeypatch, tmp_path):
+    def test_trace_cells_are_python_scalars(self):
         # The CSV writer formats floats with repr; a numpy scalar would
         # change the bytes.
-        rows = demo_trace(
-            monkeypatch, tmp_path, "--n", "16", "--methods", "bmw-ss", "--paths", "2"
-        )
+        rows = demo_trace(n_tx=16, n_rx=16, methods=("bmw-ss",), n_paths=2).rows
         for row in rows:
             assert [type(cell) for cell in row] == [int, str, int, int, int, float, float]
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"methods": ("bmw-ss", "deact"), "snr_db": (40.0,)}, "methods"),
+            ({"methods": ("deact",)}, "snr_db"),  # the config's 9-point default grid
+            ({"methods": ("deact",), "snr_db": (40.0,), "channel": "both"}, "channel"),
+        ],
+        ids=["two-methods", "nine-snr-points", "both-kinds"],
+    )
+    def test_run_search_takes_one_method_snr_point_and_kind(self, fields, field):
+        with pytest.raises(ValueError, match=field):
+            run_search(ExperimentConfig(n_tx=8, n_rx=8, **fields))

@@ -1,8 +1,9 @@
 """The value classes' contract: read-only fields, pickling to pool workers,
-constructor defaults and order, per-instance result dicts, and the errors
-that name each vocabulary's choices."""
+constructor defaults and order, per-instance result dicts, the errors that
+name each vocabulary's choices, and the argument types a config refuses."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -142,3 +143,29 @@ def _load_foo(tmp_path):
 def test_unknown_choice_names_the_valid_ones(make, choices, tmp_path):
     with pytest.raises(ValueError, match=f"must be one of {choices}; got 'foo'"):
         make(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("methods", "deact"),
+        ("snr_db", 5.0),
+        ("n_tx", 8.0),
+        ("n_rx", 8.0),
+        ("n_paths", 2.5),
+        ("realizations", 2.5),
+        ("seed", 1.0),
+        ("jobs", 2.0),
+    ],
+)
+def test_config_refuses_wrong_types(field, value):
+    # A bare string or number is refused by name, not split or truncated.
+    fields = {"n_tx": 8, "n_rx": 8, "realizations": 2, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        ExperimentConfig(**fields)
+
+
+def test_config_takes_numpy_integers():
+    cfg = ExperimentConfig(np.int64(8), np.int32(16), realizations=np.uint8(3), seed=np.uint64(7))
+    assert (cfg.n_tx, cfg.n_rx, cfg.realizations, cfg.seed) == (8, 16, 3, 7)
+    assert {type(x) for x in (cfg.n_tx, cfg.n_rx, cfg.realizations, cfg.seed)} == {int}
