@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .arrays import MAX_PATHS, ReadOnly, check_choice
+from .arrays import MAX_PATHS, ReadOnly, check_choice, check_int
 
 __all__ = ["KINDS", "ChannelParams", "draw_paths"]
 
@@ -41,6 +41,8 @@ class ChannelParams(ReadOnly):
 
     def __init__(self, n_tx: int, n_rx: int, n_paths: int = 3,
                  kind: str = "nlos", eta_db: float = 15.0) -> None:
+        n_tx, n_rx = check_int("n_tx", n_tx), check_int("n_rx", n_rx)
+        n_paths = check_int("n_paths", n_paths)
         check_choice("kind", kind, KINDS)
         if n_tx < 1 or n_rx < 1:
             raise ValueError("array sizes must be positive")

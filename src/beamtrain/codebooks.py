@@ -28,6 +28,7 @@ from .arrays import (
     angle_grid,
     check_choice,
     check_grid,
+    check_int,
     coverage_factor_rho,
     coverage_gains,
     coverage_mask,
@@ -56,9 +57,10 @@ METHODS = ("bmw-ss", "deact")
 
 
 def check_array_size(n: int, minimum: int = 1) -> int:
-    """log2(n), for a power of two n >= ``minimum`` whose (2n - 1) x n
-    codebook fits in MAX_GRID_CELLS (so n <= 4096); raises before any layer
-    exists otherwise."""
+    """log2(n), for an integer power of two n >= ``minimum`` whose
+    (2n - 1) x n codebook fits in MAX_GRID_CELLS (so n <= 4096); raises before
+    any layer exists otherwise."""
+    n = check_int("n", n)
     if n < minimum or n & (n - 1):
         raise ValueError(
             f"unsupported array size {n}: must be a power of two and >= {minimum}"
@@ -83,6 +85,7 @@ class Codebook(ReadOnly):
 
     def __init__(self, n: int, method: str, layers) -> None:
         check_choice("method", method, METHODS)
+        n = check_int("n", n)
         depth = check_array_size(n)
         if len(layers) != depth + 1:
             raise ValueError(f"a codebook for N={n} has {depth + 1} layers, got {len(layers)}")
@@ -218,26 +221,26 @@ def validate_codebook(
     check_grid(grid_points, cb.n)  # refuse an oversized grid before angle_grid builds it
     points = angle_grid(grid_points)
     uncovered, violations = [], []
-    parent_gains = None
     for k, layer in enumerate(cb.layers):
+        # Each layer's gains become two masks and are dropped before the next
+        # layer's: its coverage at rho, and (for a parent layer) each row's
+        # coverage at its own parent threshold.
         gains = coverage_gains(layer, grid_points)
         mask = coverage_mask(gains, rho)
         uncovered.append(points[~mask.any(axis=0)])
         if k:
             children = mask[0::2] | mask[1::2]
-            parents = []
-            for active, p_gains, union in zip(cb.active_counts[k - 1], parent_gains, children):
-                if parent_rho is not None:
-                    p_rho = parent_rho
-                elif active > 1:
-                    p_rho = coverage_factor_rho(int(active))
-                else:
-                    # A single active antenna radiates a flat pattern; its
-                    # coverage is the whole domain at any threshold below one.
-                    p_rho = rho
-                parents.append(points[coverage_mask(p_gains, p_rho) & ~union])
-            violations.append(tuple(parents))
-        parent_gains = gains
+            violations.append(tuple(points[row] for row in parent_masks & ~children))
+        if k < cb.depth:
+            p_rho = parent_rho
+            if p_rho is None:
+                # A single active antenna radiates a flat pattern; its
+                # coverage is the whole domain at any threshold below one.
+                counts = cb.active_counts[k].tolist()
+                factor = {c: coverage_factor_rho(c) if c > 1 else rho for c in set(counts)}
+                p_rho = np.array([factor[c] for c in counts])[:, np.newaxis]
+            parent_masks = gains > p_rho * gains.max(axis=-1, keepdims=True)
+        del gains
     return CoverageReport(rho=rho, uncovered=tuple(uncovered), violations=tuple(violations))
 
 

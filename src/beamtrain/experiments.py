@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import os
 import time
 
@@ -32,6 +31,7 @@ from .arrays import (
     beam_gain,
     check_choice,
     check_grid,
+    check_int,
 )
 from .channels import KINDS, ChannelParams, draw_paths
 from .codebooks import METHODS, Codebook, check_array_size, generate_codebook
@@ -84,14 +84,6 @@ _KIND_ID = {"los": 0, "nlos": 1}
 DEFAULT_SNR_GRID = tuple(float(x) for x in range(0, 45, 5))
 
 
-def _index(name: str, value) -> int:
-    """``value`` as a Python int, or a ``ValueError`` naming the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 class ExperimentConfig(ReadOnly):
     """Configuration shared by the Monte-Carlo entry points.
 
@@ -121,9 +113,10 @@ class ExperimentConfig(ReadOnly):
             raise ValueError(f"methods must be a sequence of method names, got {methods!r}")
         if isinstance(snr_db, str) or not np.iterable(snr_db):
             raise ValueError(f"snr_db must be a sequence of numbers, got {snr_db!r}")
-        n_tx, n_rx = _index("n_tx", n_tx), _index("n_rx", n_rx)
-        n_paths, realizations = _index("n_paths", n_paths), _index("realizations", realizations)
-        seed, jobs = _index("seed", seed), _index("jobs", jobs)
+        n_tx, n_rx = check_int("n_tx", n_tx), check_int("n_rx", n_rx)
+        n_paths = check_int("n_paths", n_paths)
+        realizations = check_int("realizations", realizations)
+        seed, jobs = check_int("seed", seed), check_int("jobs", jobs)
         methods = tuple(methods)
         for method in methods:
             check_choice("method", method, METHODS)

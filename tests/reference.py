@@ -6,8 +6,9 @@ adjudication: the channel is its N_rx x N_tx matrix, and each measurement is
 one matrix-vector product with its own noise draw.  Tests compare the engine
 against it.  :func:`draw_realization` is the stream contract drawn with
 NumPy's own seeding objects, which the block seeding must match byte for
-byte; :func:`random_awv` and :func:`subarray_phase_objective` serve the
-weight-set and phase-design tests.
+byte; :func:`coverage_gains_reference` is the one-shot coverage transform
+that the row-blocked one must match byte for byte; :func:`random_awv` and
+:func:`subarray_phase_objective` serve the weight-set and phase-design tests.
 """
 
 import math
@@ -89,6 +90,13 @@ def draw_realization(params, entropy, n_steps):
     channel_ss, noise_ss = np.random.SeedSequence(entropy).spawn(2)
     paths = draw_paths(params, np.random.default_rng(channel_ss))
     return paths, np.random.default_rng(noise_ss).standard_normal(4 * params.n_rx * n_steps)
+
+
+def coverage_gains_reference(weights, grid_points):
+    """``|fft(w * (-1)**k, n=M)|`` of every row of ``weights`` in one call."""
+    w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
+    signs = np.where(np.arange(w.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return np.abs(np.fft.fft(w * signs, n=grid_points, axis=-1))
 
 
 def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import random_awv, subarray_phase_objective
+from reference import coverage_gains_reference, random_awv, subarray_phase_objective
 from beamtrain import (
     angle_grid,
     beam_gain,
@@ -274,6 +274,29 @@ class TestBeamCoverage:
         assert got.shape == (1, num_points)
         want = np.abs(beam_gain(w, angle_grid(num_points)))
         np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-12 * np.sqrt(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 80),
+        log2_n=st.integers(0, 8),
+        oversampling=st.integers(8, 40),
+        extra=st.integers(0, 7),
+        one_d=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 80 rows of M = 2051 make five full blocks of 15 rows and a partial sixth.
+    @example(rows=80, log2_n=8, oversampling=8, extra=3, one_d=False, seed=0)
+    def test_row_blocks_match_one_shot_transform(self, rows, log2_n, oversampling, extra,
+                                                 one_d, seed):
+        # M runs from 8N up, powers of two or not; rows cross block edges once M > 409.
+        n, rng = 2**log2_n, np.random.default_rng(seed)
+        grid_points = oversampling * n + extra
+        w = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        if one_d:
+            w = w[0]
+        got = coverage_gains(w, grid_points)
+        assert got.tobytes() == coverage_gains_reference(w, grid_points).tobytes()
+        assert got.shape == (1 if one_d else rows, grid_points)
 
 
 class TestSubarrayPhaseObjective:

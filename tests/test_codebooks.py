@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,21 @@ class TestCriterionValidation:
         calls.clear()
         main(["codebook", "--method", method, "--n", "32", "--validate"])
         assert calls == [2**k for k in range(cb.depth + 1)]
+
+
+@pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+def test_validation_holds_one_layer_of_gains(method):
+    # Each layer's gains are reduced to masks and dropped before the next
+    # layer's exist: the peak stays under twice the N=64 leaf layer's
+    # 64 x 4096 float64 gains (2 MiB).
+    cb = generate_codebook(method, 64)
+    tracemalloc.start()
+    try:
+        validate_codebook(cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 8])

@@ -15,6 +15,7 @@ from beamtrain import (
     export_codebook,
     generate_codebook,
     load_codebook,
+    validate_codebook,
 )
 from beamtrain.codebooks import CoverageReport
 from beamtrain.experiments import ExperimentResult
@@ -169,3 +170,31 @@ def test_config_takes_numpy_integers():
     cfg = ExperimentConfig(np.int64(8), np.int32(16), realizations=np.uint8(3), seed=np.uint64(7))
     assert (cfg.n_tx, cfg.n_rx, cfg.realizations, cfg.seed) == (8, 16, 3, 7)
     assert {type(x) for x in (cfg.n_tx, cfg.n_rx, cfg.realizations, cfg.seed)} == {int}
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (lambda v: ChannelParams(8, 8, v, "los"), "n_paths", 2.5),
+        (lambda v: ChannelParams(v, 8), "n_tx", 8.5),
+        (lambda v: ChannelParams(8, v), "n_rx", 8.0),
+        (lambda v: generate_codebook("deact", v), "n", 8.0),
+        (lambda v: validate_codebook(generate_codebook("deact", 8), grid_points=v),
+         "grid_points", 4096.0),
+    ],
+    ids=["ChannelParams.n_paths", "ChannelParams.n_tx", "ChannelParams.n_rx",
+         "generate_codebook", "validate_codebook"],
+)
+def test_library_refuses_non_integers(make, field, value):
+    message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
+def test_library_takes_numpy_integers():
+    params = ChannelParams(np.int64(8), np.int32(16), np.uint8(2))
+    cb = generate_codebook("deact", np.int64(8))
+    assert (params.n_tx, params.n_rx, params.n_paths, cb.n) == (8, 16, 2, 8)
+    assert {type(x) for x in (params.n_tx, params.n_rx, params.n_paths, cb.n)} == {int}
+    report = validate_codebook(cb, grid_points=np.int64(64))
+    assert report.summary_lines() == validate_codebook(cb, grid_points=64).summary_lines()
