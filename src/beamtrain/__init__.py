@@ -12,9 +12,7 @@ from .channels import ChannelParams, draw_paths
 from .codebooks import (
     Codebook,
     export_codebook,
-    generate_bmw_ss,
     generate_codebook,
-    generate_deact,
     load_codebook,
     validate_codebook,
 )

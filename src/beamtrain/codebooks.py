@@ -42,8 +42,6 @@ __all__ = [
     "Codebook",
     "check_array_size",
     "generate_codebook",
-    "generate_deact",
-    "generate_bmw_ss",
     "validate_codebook",
     "CoverageReport",
     "export_codebook",
@@ -107,55 +105,49 @@ class Codebook(ReadOnly):
         return len(self.layers) - 1
 
 
-def generate_deact(n: int) -> Codebook:
-    """Deactivation codebook: layer k steers 2^k antennas, zeros the rest.
-
-    Row i of layer k holds the 2^k-element steering vector at
-    -1 + (2i + 1)/2^k in its leading entries, padded with zeros; the last
-    layer is the shared leaf layer.
-    """
-    depth = check_array_size(n)
-    layers = []
-    for k in range(depth):
-        size = 2**k
-        first = np.zeros(n, dtype=np.complex128)
-        first[:size] = steering_weights(size, -1.0 + 1.0 / size)
-        layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
-    layers.append(steering_matrix(n).T)
-    return Codebook(n=n, method="deact", layers=tuple(layers))
+def _deact_first(n: int, depth: int, k: int):
+    """Layer k's first deact codeword: ``steering_weights(2^k, -1 + 1/2^k)``, zero-padded."""
+    size = 2**k
+    first = np.zeros(n, dtype=np.complex128)
+    first[:size] = steering_weights(size, -1.0 + 1.0 / size)
+    return first
 
 
-def generate_bmw_ss(n: int) -> Codebook:
-    """Sub-array codebook with sub-array-level deactivation.
+def _bmw_ss_first(n: int, depth: int, k: int):
+    """Layer k's first bmw-ss codeword.
 
     Layer k = log2(N) - ell is built from M = 2^floor((ell+1)/2) sub-arrays of
     N_S = N/M antennas.  The first N_A sub-arrays (N_A = M/2 for odd ell, M for
     even ell) carry ``exp(j*theta_m) * steering_weights(N_S, -1 + (2m-1)/N_S)``
     with ``theta_m = -m*pi*(N_S-1)/N_S``; the rest are zero.  The whole vector
-    is rescaled to unit power and the remaining codewords of the layer are
-    beam rotations of the first.  Active antenna counts are N or N/2.
+    is rescaled to unit power, so active antenna counts are N or N/2.
     """
-    depth = check_array_size(n, minimum=2)
-    layers = []
-    for k in range(depth):
-        ell = depth - k
-        m_sub = 2 ** ((ell + 1) // 2)
-        n_sub = n // m_sub
-        n_active_sub = m_sub if ell % 2 == 0 else m_sub // 2
-        first = np.zeros(n, dtype=np.complex128)
-        for m in range(1, n_active_sub + 1):
-            theta_m = -m * np.pi * (n_sub - 1) / n_sub
-            sub = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)
-            first[(m - 1) * n_sub : m * n_sub] = np.exp(1j * theta_m) * sub
-        first /= np.linalg.norm(first)
-        layers.append(rotate(first, 2.0 * np.arange(2**k) / 2**k))
-    layers.append(steering_matrix(n).T)
-    return Codebook(n=n, method="bmw-ss", layers=tuple(layers))
+    ell = depth - k
+    m_sub = 2 ** ((ell + 1) // 2)
+    n_sub = n // m_sub
+    n_active_sub = m_sub if ell % 2 == 0 else m_sub // 2
+    first = np.zeros(n, dtype=np.complex128)
+    for m in range(1, n_active_sub + 1):
+        theta_m = -m * np.pi * (n_sub - 1) / n_sub
+        sub = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)
+        first[(m - 1) * n_sub : m * n_sub] = np.exp(1j * theta_m) * sub
+    first /= np.linalg.norm(first)
+    return first
+
+
+# Each method's first codeword of layer k, and its smallest array size.
+_CONSTRUCTIONS = {"deact": (_deact_first, 1), "bmw-ss": (_bmw_ss_first, 2)}
 
 
 def generate_codebook(method: str, n: int) -> Codebook:
+    """The ``method`` codebook for n antennas: layer k < log2(N) holds the 2^k
+    rotations of the method's first codeword by 2i/2^k, then the leaf layer."""
     check_choice("method", method, METHODS)
-    return generate_deact(n) if method == "deact" else generate_bmw_ss(n)
+    first_codeword, minimum = _CONSTRUCTIONS[method]
+    depth = check_array_size(n, minimum)
+    layers = [rotate(first_codeword(n, depth, k), 2.0 * np.arange(2**k) / 2**k) for k in range(depth)]
+    layers.append(steering_matrix(n).T)
+    return Codebook(n=n, method=method, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

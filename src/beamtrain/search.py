@@ -56,8 +56,8 @@ class PowerModel(ReadOnly):
 
     def __init__(self, mode: str, noise_power: float) -> None:
         check_choice("mode", mode, POWER_MODES)
-        if noise_power < 0.0:
-            raise ValueError("noise power must be non-negative")
+        if not 0.0 <= noise_power < math.inf:
+            raise ValueError(f"noise power must be finite and non-negative, got {noise_power}")
         vars(self).update(mode=mode, noise_power=noise_power)
 
     @classmethod

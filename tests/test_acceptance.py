@@ -19,9 +19,7 @@ from beamtrain import (
     PowerModel,
     coverage_factor_rho,
     draw_paths,
-    generate_bmw_ss,
     generate_codebook,
-    generate_deact,
     rotate,
     run_received_power,
     run_success_rate,
@@ -59,8 +57,8 @@ def test_criterion_01_coverage_factor_values():
 def test_criterion_02_criteria_validation_rho_half():
     failures = []
     for n in (8, 16, 32, 64, 128):
-        for gen in (generate_deact, generate_bmw_ss):
-            cb = gen(n)
+        for method in ("deact", "bmw-ss"):
+            cb = generate_codebook(method, n)
             report = validate_codebook(cb, rho=0.5, grid_points=GRID_POINTS)
             if not report.passed:
                 worst1 = max(gap.size for gap in report.uncovered)
@@ -100,7 +98,7 @@ def test_criterion_03_rotation_shifts_coverage():
 def test_criterion_04_structural_identities():
     problems = []
     for n in (8, 16, 32, 64, 128):
-        cb_d, cb_b = generate_deact(n), generate_bmw_ss(n)
+        cb_d, cb_b = generate_codebook("deact", n), generate_codebook("bmw-ss", n)
         for i in range(n):
             if np.max(np.abs(cb_d.layers[-1][i] - cb_b.layers[-1][i])) > 1e-12:
                 problems.append(f"last layer differs at N={n}")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -12,9 +13,7 @@ from beamtrain import (
     beam_gain,
     coverage_factor_rho,
     export_codebook,
-    generate_bmw_ss,
     generate_codebook,
-    generate_deact,
     load_codebook,
     rotate,
     steering_weights,
@@ -71,6 +70,34 @@ def hand_built_bmw_first(n, layer):
     return w / np.linalg.norm(w)
 
 
+# sha256 over every layer's bytes and active counts, in layer order, as
+# generated with NumPy 2.4.6 on x86-64 Linux.  Any change to a construction's
+# formulas or to the order of their operations moves a digest.
+PINNED_DIGESTS = {
+    ("deact", 1): "9d46201e65eaceb95c7df9099e3c8435ca30f49938658b1f0ae9ab28a96af2e3",
+    ("deact", 2): "0bb3318cb04872e6c1dc0fa65e3db67096f63af91ca12b7a5cff98cb5313e9e0",
+    ("deact", 4): "a20f7b38461cc1ed339d2eb1b39de9263081f4262ef53bd55c3118c50869ec79",
+    ("deact", 8): "cc9b5b0c7183fa684ab24c9e915d1009aa2784e0076035a744bba83c014fa19c",
+    ("deact", 16): "877bfd9499f56c3e78f9861417186d48307b6d44557f591e95cc9ac5a933931e",
+    ("deact", 32): "c9798e9bd777198ee8eeb30a3119659790a9091475e72c270e6402eba6927f8b",
+    ("deact", 64): "aa277bbe7dc0fc71933a2c11ea5d480bfaa1490ddcc91bb6c1bb1174e40ec4ea",
+    ("deact", 128): "472cc4d9802c013103ac44c04d0bb58ba5168a52cba3f66fcf7a181418552786",
+    ("deact", 256): "4df00328fbc1c5c3ce7a99d9ee9a1e66a812990e4a4a12934b687669381855a6",
+    ("deact", 512): "cc214fefe719d65a0411d601c9ff2130941f50dff0b98f94b49b23d8e8862342",
+    ("deact", 1024): "10291847cccf3c560a3e86e7e51355db14ab17d7a8b4ecb13eff40940e8307c0",
+    ("bmw-ss", 2): "0bb3318cb04872e6c1dc0fa65e3db67096f63af91ca12b7a5cff98cb5313e9e0",
+    ("bmw-ss", 4): "54181219d65bc92c9103b9c71e499a0241fceab3e5fa8d7c4aef5a1b74a91638",
+    ("bmw-ss", 8): "3370df5992cb96c0748c24c1738487145ba674bf48060d3051c07041476ca460",
+    ("bmw-ss", 16): "d285fcb31c3ac2be915ae53ff98c9527aadee92816497e8618389b65c584bb2e",
+    ("bmw-ss", 32): "98f1914ff7725b241b75662ee5df890daaeb688619a9b080bcab90fccf2f3350",
+    ("bmw-ss", 64): "bb9056fd8ce32ff6ea90708addc5e54980b8508511d29f39e3e4dab3058026cc",
+    ("bmw-ss", 128): "d4b8415330deb18e7401798e5828f25c22af20557729903517db7b9a8751f987",
+    ("bmw-ss", 256): "43277d7fdfe5625b12f9fce44e2c22122224b5025482715b90a8d29062cc08a1",
+    ("bmw-ss", 512): "20fbcf2f93eac14eba8ad33bcb4464d7d131fa7085fe1e703b25b8a16b3acb94",
+    ("bmw-ss", 1024): "4f6898d4b21cc3ab87a01865e97ead8b852f456d1f2c85a1ceaf2b04e09f284c",
+}
+
+
 @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
 @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
 def test_leaves_are_the_oracle_steering_columns(method, n):
@@ -84,31 +111,31 @@ def test_leaves_are_the_oracle_steering_columns(method, n):
 
 class TestDeact:
     def test_two_antenna_root(self):
-        cb = generate_deact(2)
+        cb = generate_codebook("deact", 2)
         np.testing.assert_allclose(cb.layers[0][0], [1.0, 0.0], atol=1e-15)
 
     def test_four_antenna_layer1(self):
-        cb = generate_deact(4)
+        cb = generate_codebook("deact", 4)
         want = np.array([1.0, -1.0j, 0.0, 0.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(cb.layers[1][0], want, atol=1e-14)
 
     def test_last_layer_is_steering(self):
-        cb = generate_deact(8)
+        cb = generate_codebook("deact", 8)
         for i in range(1, 9):
             want = steering_weights(8, -1 + (2 * i - 1) / 8)
             np.testing.assert_allclose(cb.layers[3][i - 1], want, atol=1e-14)
 
     def test_active_counts_double_per_layer(self):
-        cb = generate_deact(64)
+        cb = generate_codebook("deact", 64)
         for k, counts in enumerate(cb.active_counts):
             assert all(counts == 2**k)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            generate_deact(6)
+            generate_codebook("deact", 6)
 
     def test_single_antenna_degenerate(self):
-        cb = generate_deact(1)
+        cb = generate_codebook("deact", 1)
         assert cb.depth == 0
         assert cb.active_counts[0][0] == 1
 
@@ -116,25 +143,25 @@ class TestDeact:
 class TestBmwSs:
     def test_four_antenna_layer1_structure(self):
         # One active sub-array of two antennas, scalar phase -pi/2.
-        cb = generate_bmw_ss(4)
+        cb = generate_codebook("bmw-ss", 4)
         want = np.exp(-1j * np.pi / 2) * np.array([1.0, -1.0j, 0, 0]) / np.sqrt(2)
         np.testing.assert_allclose(cb.layers[1][0], want, atol=1e-14)
         assert cb.active_counts[1][0] == 2
 
     def test_four_antenna_root_all_active(self):
-        cb = generate_bmw_ss(4)
+        cb = generate_codebook("bmw-ss", 4)
         assert cb.active_counts[0][0] == 4
         np.testing.assert_allclose(cb.layers[0][0], hand_built_bmw_first(4, 0), atol=1e-14)
 
     @pytest.mark.parametrize("n", [8, 32, 128])
     def test_first_codewords_match_hand_construction(self, n):
-        cb = generate_bmw_ss(n)
+        cb = generate_codebook("bmw-ss", n)
         for k in range(cb.depth):
             np.testing.assert_allclose(cb.layers[k][0], hand_built_bmw_first(n, k), atol=1e-13)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_active_counts_full_or_half(self, n):
-        cb = generate_bmw_ss(n)
+        cb = generate_codebook("bmw-ss", n)
         for k in range(cb.depth):
             ell = cb.depth - k
             want = n if ell % 2 == 0 else n // 2
@@ -144,19 +171,19 @@ class TestBmwSs:
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            generate_bmw_ss(12)
+            generate_codebook("bmw-ss", 12)
         with pytest.raises(ValueError):
-            generate_bmw_ss(1)
+            generate_codebook("bmw-ss", 1)
 
     def test_two_antenna_root_single_active(self):
-        cb = generate_bmw_ss(2)
+        cb = generate_codebook("bmw-ss", 2)
         np.testing.assert_allclose(np.abs(cb.layers[0][0]), [1.0, 0.0], atol=1e-14)
 
 
 class TestSharedStructure:
     @pytest.mark.parametrize("n", [8, 64])
     def test_methods_share_last_layer(self, n):
-        cb_d, cb_b = generate_deact(n), generate_bmw_ss(n)
+        cb_d, cb_b = generate_codebook("deact", n), generate_codebook("bmw-ss", n)
         np.testing.assert_allclose(cb_d.layers[-1], cb_b.layers[-1], atol=1e-12)
 
     @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
@@ -187,17 +214,26 @@ class TestSharedStructure:
         cb = generate_codebook("bmw-ss", 16)
         assert [len(layer) for layer in cb.layers] == [1, 2, 4, 8, 16]
 
+    @pytest.mark.parametrize("method, n", list(PINNED_DIGESTS))
+    def test_layers_match_pinned_digests(self, method, n):
+        cb = generate_codebook(method, n)
+        digest = hashlib.sha256()
+        for layer, counts in zip(cb.layers, cb.active_counts):
+            digest.update(layer.tobytes())
+            digest.update(counts.tobytes())
+        assert digest.hexdigest() == PINNED_DIGESTS[method, n]
+
 
 class TestCriterionValidation:
     @pytest.mark.parametrize("n", [8, 32])
     def test_deact_passes_both_criteria(self, n):
-        report = validate_codebook(generate_deact(n), 0.5, GRID_POINTS)
+        report = validate_codebook(generate_codebook("deact", n), 0.5, GRID_POINTS)
         assert not any(gap.size for gap in report.uncovered)
         assert not any(points.size for parents in report.violations for points in parents)
         assert report.passed
 
     def test_missing_leaf_fails_with_gap(self):
-        cb = generate_deact(16)
+        cb = generate_codebook("deact", 16)
         # Overwrite leaf 5 with leaf 4; the layer union then misses roughly
         # leaf 5's 2/16-wide bin.
         leaves = cb.layers[-1].copy()
@@ -211,7 +247,7 @@ class TestCriterionValidation:
         assert width == pytest.approx(2 / 16, abs=0.05)
 
     def test_swapped_children_fail_containment(self):
-        cb = generate_deact(16)
+        cb = generate_codebook("deact", 16)
         # Exchange the two children subtending different halves of the domain.
         layer1 = cb.layers[1][::-1]
         broken = Codebook(n=16, method=cb.method, layers=(cb.layers[0], layer1) + cb.layers[2:])
@@ -248,7 +284,7 @@ class TestCriterionValidation:
     def test_bmw_ss_validates_at_native_threshold(self, n):
         # Sub-array beams cross over near 0.3-0.4 of their peak, below the
         # steering-beam coverage factor, so 0.25 is their working threshold.
-        report = validate_codebook(generate_bmw_ss(n), 0.25, GRID_POINTS)
+        report = validate_codebook(generate_codebook("bmw-ss", n), 0.25, GRID_POINTS)
         for gap in report.uncovered[1:]:
             assert gap.size == 0
         assert not any(points.size for parents in report.violations for points in parents)
@@ -258,7 +294,7 @@ class TestCriterionValidation:
         # The inter-sub-array phase progression cannot close around the
         # period-2 circle, leaving an exact null at omega = +/-1; the root
         # layer therefore never covers the seam neighbourhood.
-        gap = validate_codebook(generate_bmw_ss(n), 0.25, GRID_POINTS).uncovered[0]
+        gap = validate_codebook(generate_codebook("bmw-ss", n), 0.25, GRID_POINTS).uncovered[0]
         assert gap.size > 0
         assert np.all(np.abs(gap) > 0.9)
 
@@ -299,7 +335,7 @@ def test_validation_holds_one_layer_of_gains(method):
 def test_bad_parent_rho_is_refused_before_any_layer(n, parent_rho, monkeypatch):
     monkeypatch.setattr("beamtrain.codebooks.coverage_gains", None)  # no layer is read
     with pytest.raises(ValueError, match="parent_rho must lie strictly between 0 and 1"):
-        validate_codebook(generate_deact(n), parent_rho=parent_rho)
+        validate_codebook(generate_codebook("deact", n), parent_rho=parent_rho)
 
 
 class TestExport:
@@ -322,7 +358,7 @@ class TestExport:
 
     def test_file_shape_small_codebook(self, tmp_path):
         path = tmp_path / "cb.txt"
-        export_codebook(generate_deact(4), path)
+        export_codebook(generate_codebook("deact", 4), path)
         lines = path.read_text().splitlines()
         records = [ln for ln in lines if ln.startswith("codeword ")]
         assert len(records) == 7  # layers of 1 + 2 + 4
@@ -330,7 +366,7 @@ class TestExport:
 
     def test_active_counts_recorded(self, tmp_path):
         path = tmp_path / "cb.txt"
-        export_codebook(generate_bmw_ss(64), path)
+        export_codebook(generate_codebook("bmw-ss", 64), path)
         counts = {
             int(ln.split()[3])
             for ln in path.read_text().splitlines()
@@ -345,7 +381,7 @@ class TestExport:
             load_codebook(path)
 
     def test_rejects_truncated_file(self, tmp_path):
-        cb = generate_deact(4)
+        cb = generate_codebook("deact", 4)
         path = tmp_path / "cb.txt"
         export_codebook(cb, path)
         lines = path.read_text().splitlines()
@@ -357,7 +393,7 @@ class TestExport:
         # Layers 0-2 of an N=16 codebook under "depth 2" are 4 wide beams,
         # not a codebook for 16 antennas: a search on them ends off the leaves.
         path = tmp_path / "cb.txt"
-        export_codebook(generate_deact(16), path)
+        export_codebook(generate_codebook("deact", 16), path)
         lines = [
             "depth 2" if ln.startswith("depth ") else ln
             for ln in path.read_text().splitlines()
@@ -374,7 +410,7 @@ class TestExport:
     )
     def test_rejects_malformed_record(self, tmp_path, extra, match):
         path = tmp_path / "cb.txt"
-        export_codebook(generate_deact(4), path)
+        export_codebook(generate_codebook("deact", 4), path)
         lines = path.read_text().splitlines()
         lines.append(lines[-1] if extra is None else extra)
         path.write_text("\n".join(lines) + "\n")
@@ -390,7 +426,7 @@ class TestExport:
 
     def test_codebook_needs_power_of_two_n(self):
         with pytest.raises(ValueError, match="power of two"):
-            Codebook(n=12, method="deact", layers=generate_deact(16).layers)
+            Codebook(n=12, method="deact", layers=generate_codebook("deact", 16).layers)
 
     def test_array_size_cap_boundary(self):
         # 4096 is the largest N whose (2N-1) x N codebook fits the cell budget.
@@ -402,7 +438,7 @@ class TestExport:
     @pytest.mark.parametrize("key", ["n", "method", "depth"])
     def test_missing_header_line_names_key(self, tmp_path, key):
         path = tmp_path / "cb.txt"
-        export_codebook(generate_deact(4), path)
+        export_codebook(generate_codebook("deact", 4), path)
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{key} ")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"missing header line '{key}'"):

@@ -26,6 +26,16 @@ def test_public_names_resolve():
             assert not unlisted, f"beamtrain imports {unlisted} from {node.module}, not its __all__"
 
 
+def test_one_codebook_builder():
+    # Every construction is built by generate_codebook(method, n); no module
+    # exports a second, per-method generator.
+    for name in MODULES:
+        module = importlib.import_module(name)
+        extra = [attr for attr in module.__all__
+                 if attr.startswith("generate_") and attr != "generate_codebook"]
+        assert not extra, f"{name}.__all__ exports {extra} beside generate_codebook"
+
+
 def test_modules_import_no_private_names():
     # A module reaches another only through its public names.
     for path in sorted(Path(beamtrain.__file__).parent.glob("*.py")):

@@ -146,6 +146,13 @@ def test_unknown_choice_names_the_valid_ones(make, choices, tmp_path):
         make(tmp_path)
 
 
+@pytest.mark.parametrize("noise_power", [float("nan"), float("inf")])
+def test_power_model_refuses_a_noise_power_that_is_not_finite(noise_power):
+    # Either would make every measured power NaN and every search pick (1, 1).
+    with pytest.raises(ValueError, match=rf"^noise power must be .*, got {noise_power}$"):
+        PowerModel("total", noise_power)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
