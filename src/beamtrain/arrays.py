@@ -18,8 +18,10 @@ __all__ = [
     "active_counts",
     "angle_grid",
     "check_choice",
+    "check_coverage_grid",
     "check_grid",
     "check_int",
+    "check_rho",
     "steering_weights",
     "steering_matrix",
     "leaf_angles",
@@ -28,6 +30,7 @@ __all__ = [
     "coverage_gains",
     "coverage_mask",
     "rotate",
+    "rotation_phases",
 ]
 
 # Relative slack for the constant-amplitude check; generated vectors are exact
@@ -95,15 +98,18 @@ def active_counts(weights) -> np.ndarray:
     Raises ``ValueError`` unless every row has an active (non-zero) entry and
     every active entry has its row's amplitude ``1/sqrt(active_count)``.
     """
-    w = np.asarray(weights)
-    active = w != 0
-    counts = np.count_nonzero(active, axis=-1)
-    if np.any(counts == 0):
+    amplitude = np.abs(weights)
+    active = amplitude != 0
+    counts = active.sum(axis=-1, dtype=np.intp)
+    if not counts.all():
         raise ValueError("weight vector has no active entries")
-    nu = 1.0 / np.sqrt(counts)
-    deviation = np.abs(np.abs(w) - nu[..., np.newaxis])
+    # |amplitude - 1/sqrt(count)| in place, in the type the subtraction would
+    # promote to: float64 for integer, bool or narrower float weights.
+    deviation = amplitude.astype(np.result_type(amplitude, np.float64), copy=False)
+    deviation -= (1.0 / np.sqrt(counts))[..., np.newaxis]
+    np.abs(deviation, out=deviation)
     # Written so that NaN fails too.
-    if not np.all(deviation[active] <= _AMPLITUDE_TOL):
+    if not (deviation <= _AMPLITUDE_TOL).all(where=active):
         raise ValueError(
             "active entries must share the amplitude 1/sqrt(active_count)"
         )
@@ -179,7 +185,14 @@ def rotate(w, psi) -> np.ndarray:
     if w.ndim != 1:
         raise ValueError("weights must be a 1-D array")
     active_counts(w)
-    return w * np.exp(1j * np.pi * np.arange(w.size) * np.asarray(psi)[..., np.newaxis])
+    return w * rotation_phases(w.size, psi)
+
+
+def rotation_phases(n: int, psi) -> np.ndarray:
+    """The factors ``exp(j*pi*k*psi)``, k = 0..n-1, by which :func:`rotate`
+    multiplies a weight vector: shape (n,) for a scalar psi, one row per psi
+    for a 1-D array of psi."""
+    return np.exp(1j * np.pi * np.arange(n) * np.asarray(psi)[..., np.newaxis])
 
 
 def check_grid(grid_points: int, n: int = 1) -> None:
@@ -195,6 +208,16 @@ def check_grid(grid_points: int, n: int = 1) -> None:
         raise ValueError(
             f"grid_points={grid_points} for N={n} makes {grid_points * n} cells; "
             f"M*N must be at most {MAX_GRID_CELLS}"
+        )
+
+
+def check_coverage_grid(grid_points: int, n: int) -> None:
+    """:func:`check_grid`, and reject a grid that does not oversample an
+    n-antenna array's beams: M >= 8*N, eight points per steering beam width."""
+    check_grid(grid_points, n)
+    if grid_points < 8 * n:
+        raise ValueError(
+            f"{grid_points} grid points too coarse for N={n}; need at least {8 * n}"
         )
 
 
@@ -217,16 +240,11 @@ def coverage_gains(weights, grid_points: int) -> np.ndarray:
     ``weights`` (shape (rows, N) or (N,)).  The rows are transformed in
     blocks of FFT_BLOCK_CELLS complex cells, which stay in cache, and each
     block's moduli go straight into the float64 result, so no (rows, M)
-    complex array exists.  The grid must oversample the beams, M >= 8*N
-    (eight points per steering beam width), and pass :func:`check_grid` for N.
+    complex array exists.  The grid must pass :func:`check_coverage_grid`.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
     n = w.shape[-1]
-    check_grid(grid_points, n)
-    if grid_points < 8 * n:
-        raise ValueError(
-            f"{grid_points} grid points too coarse for N={n}; need at least {8 * n}"
-        )
+    check_coverage_grid(grid_points, n)
     w = w * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     gains = np.empty((len(w), grid_points))
     step = max(1, FFT_BLOCK_CELLS // grid_points)
@@ -238,7 +256,11 @@ def coverage_gains(weights, grid_points: int) -> np.ndarray:
 
 def coverage_mask(gains: np.ndarray, rho: float) -> np.ndarray:
     """Points where each row of ``gains`` exceeds rho times that row's peak."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
+    check_rho(rho)
     return gains > rho * gains.max(axis=-1, keepdims=True)
 
+
+def check_rho(rho: float) -> None:
+    """Reject a coverage threshold outside (0, 1), NaN included."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie strictly between 0 and 1")

@@ -16,7 +16,14 @@ from pathlib import Path
 
 from .arrays import DEFAULT_GRID_POINTS
 from .channels import KINDS
-from .codebooks import METHODS, export_codebook, generate_codebook, validate_codebook
+from .codebooks import (
+    METHODS,
+    check_array_size,
+    check_validation,
+    export_codebook,
+    generate_codebook,
+    validate_codebook,
+)
 from .experiments import (
     DEFAULT_PATTERN_CODEWORDS,
     DEFAULT_SNR_GRID,
@@ -92,7 +99,11 @@ def _add_mc_options(parser: argparse.ArgumentParser) -> None:
                         help="worker processes over realizations (results identical for any value)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(tokens) -> argparse.ArgumentParser:
+    """The parser for a command line of ``tokens``.  Every subcommand is
+    registered with its help, so the top-level help and usage list all five,
+    but only those that some token names get their options: argparse hands
+    the arguments to a subcommand only when a token names it exactly."""
     parser = argparse.ArgumentParser(
         prog="beamtrain",
         description="Hierarchical beam-training codebooks, search, and Monte-Carlo evaluation",
@@ -100,29 +111,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cb = sub.add_parser("codebook", help="generate, export, and validate a codebook")
-    _add_common(p_cb)
-    p_cb.add_argument("--method", choices=METHODS, required=True)
-    p_cb.add_argument("--n", type=int, required=True, help="array size (power of two)")
-    p_cb.add_argument("--validate", action="store_true",
-                      help="run the per-layer coverage and parent-child containment checks")
-    p_cb.add_argument("--rho", type=float, default=0.5,
-                      help="coverage threshold for the validator")
-    p_cb.add_argument("--parent-rho", type=float, default=None,
-                      help="override the per-beam parent threshold in the containment check")
-    p_cb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p_cb.add_argument("--out", type=Path, default=None, help="export destination")
+    if "codebook" in tokens:
+        _add_common(p_cb)
+        p_cb.add_argument("--method", choices=METHODS, required=True)
+        p_cb.add_argument("--n", type=int, required=True, help="array size (power of two)")
+        p_cb.add_argument("--validate", action="store_true",
+                          help="run the per-layer coverage and parent-child containment checks")
+        p_cb.add_argument("--rho", type=float, default=0.5,
+                          help="coverage threshold for the validator")
+        p_cb.add_argument("--parent-rho", type=float, default=None,
+                          help="override the per-beam parent threshold in the containment check")
+        p_cb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+        p_cb.add_argument("--out", type=Path, default=None, help="export destination")
 
     p_pat = sub.add_parser("pattern", help="export beam patterns over the angle grid")
-    _add_common(p_pat)
-    p_pat.add_argument("--method", choices=METHODS, required=True)
-    p_pat.add_argument("--n", type=int, required=True)
-    p_pat.add_argument("--codewords", type=_codeword_list,
-                       default=DEFAULT_PATTERN_CODEWORDS,
-                       help="semicolon-separated layer,index pairs, e.g. '2,1;1,1;0,1'")
-    p_pat.add_argument("--per-antenna", action="store_true",
-                       help="scale weights to unit amplitude per active antenna")
-    p_pat.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p_pat.add_argument("--out", type=Path, required=True)
+    if "pattern" in tokens:
+        _add_common(p_pat)
+        p_pat.add_argument("--method", choices=METHODS, required=True)
+        p_pat.add_argument("--n", type=int, required=True)
+        p_pat.add_argument("--codewords", type=_codeword_list,
+                           default=DEFAULT_PATTERN_CODEWORDS,
+                           help="semicolon-separated layer,index pairs, e.g. '2,1;1,1;0,1'")
+        p_pat.add_argument("--per-antenna", action="store_true",
+                           help="scale weights to unit amplitude per active antenna")
+        p_pat.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+        p_pat.add_argument("--out", type=Path, required=True)
 
     p_search = sub.add_parser(
         "search", help="run one search on one sampled channel",
@@ -131,23 +144,26 @@ def build_parser() -> argparse.ArgumentParser:
         "so below seed 2^64 a --channel los run draws the paths and noise of mc-power's "
         "LOS realization 0 at the same seed.",
     )
-    _add_common(p_search)
-    _add_channel_options(p_search, ("bmw-ss",))
-    p_search.add_argument("--channel", choices=KINDS, default="nlos")
-    p_search.add_argument("--snr-db", type=float, default=40.0)
+    if "search" in tokens:
+        _add_common(p_search)
+        _add_channel_options(p_search, ("bmw-ss",))
+        p_search.add_argument("--channel", choices=KINDS, default="nlos")
+        p_search.add_argument("--snr-db", type=float, default=40.0)
 
     p_pow = sub.add_parser("mc-power", help="received power per search step (Monte Carlo)")
-    _add_common(p_pow)
-    _add_mc_options(p_pow)
-    p_pow.add_argument("--channel", choices=(*KINDS, "both"), default="both")
-    p_pow.add_argument("--snr-db", type=float, default=40.0)
+    if "mc-power" in tokens:
+        _add_common(p_pow)
+        _add_mc_options(p_pow)
+        p_pow.add_argument("--channel", choices=(*KINDS, "both"), default="both")
+        p_pow.add_argument("--snr-db", type=float, default=40.0)
 
     p_suc = sub.add_parser("mc-success", help="success rate over an SNR sweep (Monte Carlo)")
-    _add_common(p_suc)
-    _add_mc_options(p_suc)
-    p_suc.add_argument("--channel", choices=KINDS, default="nlos")
-    p_suc.add_argument("--snr-grid", type=_csv_floats, default=DEFAULT_SNR_GRID,
-                       help="comma-separated SNR points in dB")
+    if "mc-success" in tokens:
+        _add_common(p_suc)
+        _add_mc_options(p_suc)
+        p_suc.add_argument("--channel", choices=KINDS, default="nlos")
+        p_suc.add_argument("--snr-grid", type=_csv_floats, default=DEFAULT_SNR_GRID,
+                           help="comma-separated SNR points in dB")
 
     return parser
 
@@ -208,6 +224,11 @@ def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfi
 
 
 def _cmd_codebook(args) -> int:
+    if args.validate:
+        # Checked before any output, so a bad validator argument writes no file;
+        # a bad array size still reports first.
+        check_array_size(args.n, args.method)
+        check_validation(args.n, args.rho, args.grid_points, args.parent_rho)
     cb = generate_codebook(args.method, args.n)
     print(f"generated {cb.method} codebook: n={cb.n}, layers={cb.depth + 1}, "
           f"codewords={2 ** (cb.depth + 1) - 1}")
@@ -299,14 +320,13 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     if argv and not argv[0].startswith("-"):
         try:
             argv = _inject_config(argv)
         except (OSError, ValueError) as exc:
             print(f"beamtrain: config error: {exc}", file=sys.stderr)
             return 2
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     out = getattr(args, "out", None)
     if out is not None and (out.is_dir() or not out.parent.is_dir()):
         # Checked before any work starts, so a long run cannot end unwritten.

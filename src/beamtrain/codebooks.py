@@ -27,12 +27,12 @@ from .arrays import (
     active_counts,
     angle_grid,
     check_choice,
-    check_grid,
+    check_coverage_grid,
     check_int,
+    check_rho,
     coverage_factor_rho,
     coverage_gains,
-    coverage_mask,
-    rotate,
+    rotation_phases,
     steering_matrix,
     steering_weights,
 )
@@ -41,6 +41,7 @@ __all__ = [
     "METHODS",
     "Codebook",
     "check_array_size",
+    "check_validation",
     "generate_codebook",
     "validate_codebook",
     "CoverageReport",
@@ -54,10 +55,15 @@ _FORMAT_TAG = "beamtrain-codebook-v1"
 METHODS = ("bmw-ss", "deact")
 
 
-def check_array_size(n: int, minimum: int = 1) -> int:
-    """log2(n), for an integer power of two n >= ``minimum`` whose
-    (2n - 1) x n codebook fits in MAX_GRID_CELLS (so n <= 4096); raises before
-    any layer exists otherwise."""
+def check_array_size(n: int, method: str | None = None) -> int:
+    """log2(n), for an integer power of two n whose (2n - 1) x n codebook fits
+    in MAX_GRID_CELLS (so n <= 4096); raises before any layer exists
+    otherwise.  Given a ``method``, it first checks that it is one of METHODS,
+    and then that n is at least its construction's smallest size."""
+    minimum = 1
+    if method is not None:
+        check_choice("method", method, METHODS)
+        minimum = _CONSTRUCTIONS[method][1]
     n = check_int("n", n)
     if n < minimum or n & (n - 1):
         raise ValueError(
@@ -141,11 +147,18 @@ _CONSTRUCTIONS = {"deact": (_deact_first, 1), "bmw-ss": (_bmw_ss_first, 2)}
 
 def generate_codebook(method: str, n: int) -> Codebook:
     """The ``method`` codebook for n antennas: layer k < log2(N) holds the 2^k
-    rotations of the method's first codeword by 2i/2^k, then the leaf layer."""
-    check_choice("method", method, METHODS)
-    first_codeword, minimum = _CONSTRUCTIONS[method]
-    depth = check_array_size(n, minimum)
-    layers = [rotate(first_codeword(n, depth, k), 2.0 * np.arange(2**k) / 2**k) for k in range(depth)]
+    rotations of the method's first codeword by 2i/2^k, then the leaf layer.
+
+    Every rotation 2i/2^k is one of the N/2 rotations 2j/(N/2), so one table of
+    their ``rotation_phases`` serves all layers: layer k takes every
+    2^(log2(N)-1-k)-th row.  Both forms of each rotation are exact in floating
+    point, so the rows are :func:`rotate`'s bit for bit."""
+    depth = check_array_size(n, method)
+    first_codeword = _CONSTRUCTIONS[method][0]
+    half = n // 2
+    table = rotation_phases(n, 2.0 * np.arange(half) / max(half, 1))
+    layers = [first_codeword(n, depth, k) * table[:: half >> k] for k in range(depth)]
+    del table  # freed before the constructor copies the layers
     layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=method, layers=tuple(layers))
 
@@ -190,6 +203,16 @@ class CoverageReport(ReadOnly):
         return lines
 
 
+def check_validation(n: int, rho: float, grid_points: int, parent_rho: float | None) -> None:
+    """Reject :func:`validate_codebook`'s arguments for an n-antenna codebook
+    before any grid-sized array exists, in the order the validator reports
+    them: ``parent_rho``, the grid (:func:`check_coverage_grid`), then ``rho``."""
+    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
+        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
+    check_coverage_grid(grid_points, n)
+    check_rho(rho)
+
+
 def validate_codebook(
     cb: Codebook,
     rho: float = 0.5,
@@ -208,17 +231,16 @@ def validate_codebook(
     parent's shoulders faster than the children's; the per-beam factor is the
     threshold at which a steered beam's coverage equals its designed width.
     """
-    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
-        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
-    check_grid(grid_points, cb.n)  # refuse an oversized grid before angle_grid builds it
+    check_validation(cb.n, rho, grid_points, parent_rho)
     points = angle_grid(grid_points)
     uncovered, violations = [], []
     for k, layer in enumerate(cb.layers):
         # Each layer's gains become two masks and are dropped before the next
         # layer's: its coverage at rho, and (for a parent layer) each row's
-        # coverage at its own parent threshold.
+        # coverage at its own parent threshold, both against the row's peak.
         gains = coverage_gains(layer, grid_points)
-        mask = coverage_mask(gains, rho)
+        peak = gains.max(axis=-1, keepdims=True)
+        mask = gains > rho * peak
         uncovered.append(points[~mask.any(axis=0)])
         if k:
             children = mask[0::2] | mask[1::2]
@@ -231,7 +253,7 @@ def validate_codebook(
                 counts = cb.active_counts[k].tolist()
                 factor = {c: coverage_factor_rho(c) if c > 1 else rho for c in set(counts)}
                 p_rho = np.array([factor[c] for c in counts])[:, np.newaxis]
-            parent_masks = gains > p_rho * gains.max(axis=-1, keepdims=True)
+            parent_masks = gains > p_rho * peak
         del gains
     return CoverageReport(rho=rho, uncovered=tuple(uncovered), violations=tuple(violations))
 

@@ -7,7 +7,9 @@ one matrix-vector product with its own noise draw.  Tests compare the engine
 against it.  :func:`draw_realization` is the stream contract drawn with
 NumPy's own seeding objects, which the block seeding must match byte for
 byte; :func:`coverage_gains_reference` is the one-shot coverage transform
-that the row-blocked one must match byte for byte; :func:`random_awv` and
+that the row-blocked one must match byte for byte; :func:`active_counts_reference`
+is the weight-set check with a boolean gather, which the in-place one must
+match in counts and refusals; :func:`random_awv` and
 :func:`subarray_phase_objective` serve the weight-set and phase-design tests.
 """
 
@@ -97,6 +99,30 @@ def coverage_gains_reference(weights, grid_points):
     w = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
     signs = np.where(np.arange(w.shape[-1]) % 2 == 0, 1.0, -1.0)
     return np.abs(np.fft.fft(w * signs, n=grid_points, axis=-1))
+
+
+_AMPLITUDE_TOL = 1e-9
+
+
+def active_counts_reference(weights) -> np.ndarray:
+    """Active-entry count of each row of a (..., N) weight array.
+
+    Raises ``ValueError`` unless every row has an active (non-zero) entry and
+    every active entry has its row's amplitude ``1/sqrt(active_count)``.
+    """
+    w = np.asarray(weights)
+    active = w != 0
+    counts = np.count_nonzero(active, axis=-1)
+    if np.any(counts == 0):
+        raise ValueError("weight vector has no active entries")
+    nu = 1.0 / np.sqrt(counts)
+    deviation = np.abs(np.abs(w) - nu[..., np.newaxis])
+    # Written so that NaN fails too.
+    if not np.all(deviation[active] <= _AMPLITUDE_TOL):
+        raise ValueError(
+            "active entries must share the amplitude 1/sqrt(active_count)"
+        )
+    return counts
 
 
 def subarray_phase_objective(n_sub: int, delta_theta: float) -> complex:

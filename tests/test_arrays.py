@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import coverage_gains_reference, random_awv, subarray_phase_objective
+from reference import (
+    active_counts_reference,
+    coverage_gains_reference,
+    random_awv,
+    subarray_phase_objective,
+)
 from beamtrain import (
     angle_grid,
     beam_gain,
@@ -68,6 +73,16 @@ class TestSteeringVector:
         for i, angle in enumerate(angles):
             assert np.array_equal(mat[:, i], steering_weights(16, angle))
 
+
+def check_outcome(check, weights):
+    """A weight-set check's counts as (dtype, shape, bytes), or its refusal."""
+    try:
+        counts = np.asarray(check(weights))
+    except ValueError as exc:
+        return str(exc)
+    return counts.dtype, counts.shape, counts.tobytes()
+
+
 class TestAwv:
     @pytest.mark.parametrize(
         "weights, match",
@@ -89,6 +104,53 @@ class TestAwv:
             active_counts(np.vstack([rows, np.zeros(4)]))
         with pytest.raises(ValueError, match="amplitude"):
             active_counts(np.vstack([rows, [0.5, 0.25, 0.0, 0.0]]))
+
+    # An active entry's amplitude is 1/sqrt(count) moved by one of these: 0, inside
+    # the 1e-9 tolerance, on it, just past it, or far off.
+    OFFSETS = (0.0, 0.5e-9, -0.999e-9, 1e-9, -1e-9, 1.001e-9, -1.5e-9, 0.25)
+    # Entries that no amplitude check should accept, subnormals included.
+    SPECIALS = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0),
+                5e-324, complex(0.0, -1e-310))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_active_counts_matches_gather_reference(self, data):
+        # Same counts (bytes, dtype, shape) or the same refusal as the form
+        # that gathers the active deviations, on (..., N) inputs.
+        lead = data.draw(st.lists(st.integers(0, 3), max_size=2), label="lead")
+        n = data.draw(st.integers(1, 8), label="n")
+        dtype = data.draw(st.sampled_from(
+            [np.complex128, np.float64, np.complex64, np.float32]), label="dtype")
+        phases = [1, -1] if dtype in (np.float64, np.float32) else [1, -1, 1j, np.exp(0.3j)]
+        rows = []
+        for _ in range(int(np.prod(lead, dtype=int))):
+            active = data.draw(st.one_of(
+                st.just([False] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+            nu = 1.0 / np.sqrt(max(sum(active), 1))
+            row = []
+            for on in active:
+                entry = 0.0
+                if on:
+                    entry = data.draw(st.one_of(
+                        st.sampled_from(self.OFFSETS).map(lambda d: nu + d),
+                        st.sampled_from(self.SPECIALS),
+                    ))
+                    entry = entry * data.draw(st.sampled_from(phases))
+                row.append(entry)
+            rows.append(row)
+        w = np.array(rows, dtype=np.complex128).reshape((*lead, n))
+        w = (w if np.iscomplexobj(np.zeros(0, dtype)) else w.real).astype(dtype)
+        assert check_outcome(active_counts, w) == check_outcome(active_counts_reference, w)
+
+    @pytest.mark.parametrize("weights", [
+        [1, 0, 0], [[1, 0], [0, -1]], [1, 1], [[0, 0]], [True, False], [[2]],
+        np.array([0.5, 0.5, 0.5, 0.5], dtype=np.float16), np.zeros((0, 3), dtype=np.int8),
+    ])
+    def test_active_counts_takes_any_numeric_dtype(self, weights):
+        # Integer, bool and float16 weights are promoted as the reference's
+        # subtraction promotes them: same counts, or the same refusal.
+        assert check_outcome(active_counts, weights) == check_outcome(
+            active_counts_reference, weights)
 
     def test_random_awv_is_member(self):
         rng = np.random.default_rng(0)

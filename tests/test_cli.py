@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import tracemalloc
 
@@ -216,6 +218,25 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert "parent_rho must lie strictly between 0 and 1" in captured.err
         assert "validation" not in captured.out
+
+    @pytest.mark.parametrize("n, bad, message", [
+        (8, ["--rho", "2"], "rho must lie strictly between 0 and 1"),
+        (8, ["--parent-rho", "nan"], "parent_rho must lie strictly between 0 and 1"),
+        (8, ["--grid-points", "63"], "too coarse"),
+        # Several bad arguments: the one reported is the one the validator reports.
+        (8, ["--rho", "2", "--grid-points", "63", "--parent-rho", "nan"], "parent_rho"),
+        (8, ["--rho", "2", "--grid-points", "63"], "too coarse"),
+        (6, ["--rho", "2", "--grid-points", "1"], "unsupported array size 6"),
+    ])
+    def test_bad_validator_argument_writes_nothing(self, n, bad, message, tmp_path, capsys):
+        out = tmp_path / "cb.txt"
+        code = run_cli("codebook", "--method", "deact", "--n", str(n), "--validate", *bad,
+                       "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_negative_seed_exits_2(self, capsys):
         assert run_cli("mc-success", "--n", "8", "-r", "2", "--seed", "-1") == 2
@@ -458,6 +479,59 @@ class TestConfigFile:
         except SystemExit as exc:  # argparse exits on unknown options
             code = exc.code
         assert code == 2
+
+
+class TestParser:
+    # (argv, exit code, first 16 hex digits of sha256(stdout + NUL + stderr)) at
+    # COLUMNS=80: the help, usage and error bytes of the parser that built every
+    # subcommand's options on every call, captured with Python 3.11.
+    PINNED = [
+        ((), 2, "5bccc3f9a7ba3cdd"),
+        (("-h",), 0, "3b30b4c6fe039367"),
+        (("codebook", "--help"), 0, "c75b865e85c51cde"),
+        (("pattern", "--help"), 0, "7e5a298662560464"),
+        (("search", "--help"), 0, "71b2ac07a874a99a"),
+        (("mc-power", "--help"), 0, "3d66ae6ba8465685"),
+        (("mc-success", "--help"), 0, "bfd3f7619557280b"),
+        (("bogus",), 2, "0a971cd85e2cb3bd"),
+        (("--foo", "codebook"), 2, "e80f1d3e70a5c527"),
+        (("-5", "codebook"), 2, "5d71f1ed35e3e8fb"),
+        (("codebook", "--method", "deact", "--n", "8", "--bogus"), 2, "3674e3c0f70ced7f"),
+        (("mc-success", "--bogus"), 2, "3674e3c0f70ced7f"),
+        (("codebook", "--method", "x", "--n", "8"), 2, "13e9f1949e2a55c2"),
+        (("mc-power", "--channel", "x"), 2, "2b340ad0bd1f98d5"),
+        (("search", "--methods", "foo"), 2, "378938da1a7dcd01"),
+        (("codebook", "--method", "deact", "--n", "eight"), 2, "432cd79395abaeb2"),
+        (("mc-success", "--snr-grid", "a,b"), 2, "8165714415486066"),
+        (("pattern", "--method", "deact"), 2, "8460be6c3c78c2ae"),
+        (("codebook", "--method", "deact", "--n", "8", "mc-success"), 2, "13e2eb7002749101"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, digest", PINNED,
+                             ids=[" ".join(argv) or "no-arguments" for argv, _, _ in PINNED])
+    def test_help_usage_and_error_bytes_are_pinned(self, argv, code, digest, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        text = captured.out + "\0" + captured.err
+        assert (got, hashlib.sha256(text.encode()).hexdigest()[:16]) == (code, digest)
+
+    def test_codebook_builds_no_monte_carlo_options(self, monkeypatch, capsys):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *flags, **kwargs):
+            added.extend(flags)
+            return add_argument(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        assert run_cli("codebook", "--method", "deact", "--n", "8") == 0
+        assert "--grid-points" in added
+        assert not {"--snr-grid", "--realizations", "--jobs"} & set(added)
 
 
 class TestProcessLevel:
