@@ -56,9 +56,10 @@ class ChannelParams(ReadOnly):
 
 
 def draw_paths(
-    params: ChannelParams, rng: np.random.Generator
+    params: ChannelParams, rngs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one realization's paths: ``(coeff, omega, psi)``, each of length L.
+    """Draw one realization from each generator of ``rngs``: ``(coeff, omega,
+    psi)``, each (B, L), row b from the b-th generator.
 
     Physical angles on both sides are uniform on [0, 2*pi) and enter through
     their cosines.  For the NLOS kind every coefficient is circularly
@@ -66,25 +67,27 @@ def draw_paths(
     path has the deterministic zero-phase amplitude sqrt(g / (g + L - 1))
     with g = 10^(eta_db/10), and the remaining paths are complex Gaussian
     with variance 1/(g + L - 1), so the expected total power is one and the
-    dominant path sits eta_db above each diffuse path.  The draw order
-    (receive-side angles, transmit-side angles, coefficients) is part of the
-    reproducibility contract.
+    dominant path sits eta_db above each diffuse path.  The draw order is
+    part of the reproducibility contract: each generator gives L receive-side
+    then L transmit-side angles, then the diffuse coefficients' real then
+    imaginary parts.  Each generator is drawn from before the next is taken,
+    so ``rngs`` may yield one generator re-seeded for every realization.
     """
     n_paths = params.n_paths
-    omega = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
-    psi = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
     if params.kind == "nlos":
-        scale = math.sqrt(1.0 / (2.0 * n_paths))
-        coeff = scale * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+        gap, n_diffuse, denom = 0.0, n_paths, n_paths
     else:
         gap = db_to_linear(params.eta_db)
-        denom = gap + n_paths - 1.0
-        coeff = np.empty(n_paths, dtype=np.complex128)
-        coeff[0] = math.sqrt(gap / denom)
-        n_diffuse = n_paths - 1
-        if n_diffuse:
-            scale = math.sqrt(1.0 / (2.0 * denom))
-            coeff[1:] = scale * (
-                rng.standard_normal(n_diffuse) + 1j * rng.standard_normal(n_diffuse)
-            )
+        n_diffuse, denom = n_paths - 1, gap + n_paths - 1.0
+    draws = [
+        (rng.uniform(0.0, 2.0 * np.pi, size=2 * n_paths), rng.standard_normal(2 * n_diffuse))
+        for rng in rngs
+    ]
+    angles, z = map(np.array, zip(*draws))
+    omega, psi = np.split(np.cos(angles), 2, axis=1)
+    # The dominant path's amplitude, which the NLOS kind's diffuse paths overwrite.
+    coeff = np.full((len(z), n_paths), math.sqrt(gap / denom), dtype=complex)
+    coeff[:, n_paths - n_diffuse :] = math.sqrt(1.0 / (2.0 * denom)) * (
+        z[:, :n_diffuse] + 1j * z[:, n_diffuse:]
+    )
     return coeff, omega, psi

@@ -95,7 +95,11 @@ class Codebook(ReadOnly):
             raise ValueError(f"a codebook for N={n} has {depth + 1} layers, got {len(layers)}")
         arrays = []
         for k, layer in enumerate(layers):
-            arr = np.array(layer, dtype=np.complex128, order="C")
+            arr = np.asarray(layer, dtype=np.complex128, order="C")
+            if arr is layer and (arr.base is not None or arr.flags.writeable):
+                # The caller may still change it.  A read-only array that owns
+                # its data is kept: no one changes it without unlocking it.
+                arr = arr.copy()
             if arr.shape != (2**k, n):
                 raise ValueError(f"layer {k} has shape {arr.shape}, expected {(2**k, n)}")
             arr.setflags(write=False)
@@ -132,11 +136,11 @@ def _bmw_ss_first(n: int, depth: int, k: int):
     m_sub = 2 ** ((ell + 1) // 2)
     n_sub = n // m_sub
     n_active_sub = m_sub if ell % 2 == 0 else m_sub // 2
+    m = np.arange(1, n_active_sub + 1)
+    theta = -m * np.pi * (n_sub - 1) / n_sub
+    subs = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)  # one column per sub-array
     first = np.zeros(n, dtype=np.complex128)
-    for m in range(1, n_active_sub + 1):
-        theta_m = -m * np.pi * (n_sub - 1) / n_sub
-        sub = steering_weights(n_sub, -1.0 + (2.0 * m - 1.0) / n_sub)
-        first[(m - 1) * n_sub : m * n_sub] = np.exp(1j * theta_m) * sub
+    first[: n_active_sub * n_sub] = (np.exp(1j * theta) * subs).T.reshape(-1)
     first /= np.linalg.norm(first)
     return first
 
@@ -158,7 +162,9 @@ def generate_codebook(method: str, n: int) -> Codebook:
     half = n // 2
     table = rotation_phases(n, 2.0 * np.arange(half) / max(half, 1))
     layers = [first_codeword(n, depth, k) * table[:: half >> k] for k in range(depth)]
-    del table  # freed before the constructor copies the layers
+    del table  # freed before the leaves are built
+    for layer in layers:
+        layer.setflags(write=False)  # so the constructor keeps it uncopied
     layers.append(steering_matrix(n).T)
     return Codebook(n=n, method=method, layers=tuple(layers))
 

@@ -283,9 +283,8 @@ def _draw_block(cfg: ExperimentConfig, kind: str, entropies) -> tuple[PathBlock,
     stage and candidate (lower child first), the real then the imaginary
     parts of the receive noise."""
     channel, noise = _spawned_states(entropies)
-    paths = [draw_paths(cfg.channel_params(kind), rng) for rng in _streams(channel)]
-    coeff, omega, psi = (np.stack(column) for column in zip(*paths))
-    return PathBlock(coeff, omega, psi, cfg.n_tx, cfg.n_rx), noise
+    paths = draw_paths(cfg.channel_params(kind), _streams(channel))
+    return PathBlock(*paths, cfg.n_tx, cfg.n_rx), noise
 
 
 def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:

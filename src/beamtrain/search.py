@@ -123,7 +123,7 @@ def _lockstep_descend(
     cb: Codebook,
     first: int,
     seen: np.ndarray,
-    w_rx: np.ndarray | None,
+    w_rx_h: np.ndarray | None,
     tx_active,
     power_model: PowerModel,
     noise: np.ndarray,
@@ -133,10 +133,11 @@ def _lockstep_descend(
     onward of ``out``; returns the winning leaf rows (0-based), shape (B,).
 
     ``seen`` (B, N) is the channel the candidates meet: ``H w_tx`` on the
-    receive side, where ``w_rx`` is None, the candidates combine the noise
+    receive side, where ``w_rx_h`` is None, the candidates combine the noise
     and ``tx_active`` is the fixed transmit codeword's active count; or
-    ``w_rx^H H`` on the transmit side, where ``w_rx`` (B, N_rx) combines the
-    noise and each candidate brings its own active count.
+    ``w_rx^H H`` on the transmit side, where ``w_rx_h``, the (B, N_rx)
+    conjugate receive weights, combines the noise and each candidate brings
+    its own active count.
     """
     rows = np.arange(seen.shape[0])
     std = math.sqrt(power_model.noise_power / 2.0)
@@ -146,13 +147,15 @@ def _lockstep_descend(
         children = 2 * parent[:, np.newaxis] + np.arange(2)  # lower child first
         cand = cb.layers[k][children]  # (B, 2, N)
         z = noise[:, stage]
-        nz = std * (z[:, :, 0] + 1j * z[:, :, 1])  # (B, 2, N_rx)
-        if w_rx is None:
+        nz = z[:, :, 1] * 1j  # (B, 2, N_rx), built in one buffer
+        nz += z[:, :, 0]
+        nz *= std
+        if w_rx_h is None:
             np.conjugate(cand, out=cand)
             combined = np.einsum("bcn,bcn->bc", cand, nz)
             active = tx_active
         else:
-            combined = np.einsum("bn,bcn->bc", w_rx.conj(), nz)
+            combined = np.einsum("bn,bcn->bc", w_rx_h, nz)
             active = cb.active_counts[k][children]
         g = np.einsum("bcn,bn->bc", cand, seen)
         scale = power_model.scale(active)
@@ -205,10 +208,10 @@ def lockstep_search(
     rx = _lockstep_descend(
         cb_rx, 0, seen_rx, None, cb_tx.active_counts[0][0], power_model, noise, out
     )
-    w_rx = cb_rx.layers[-1][rx]  # (B, N_rx)
-    on_rx = np.einsum("bn,bln->bl", w_rx.conj(), block.a_rx)
+    w_rx_h = cb_rx.layers[-1][rx].conj()  # (B, N_rx)
+    on_rx = np.einsum("bn,bln->bl", w_rx_h, block.a_rx)
     seen_tx = np.einsum("bl,bln->bn", scaled * on_rx, block.a_tx.conj())
-    tx = _lockstep_descend(cb_tx, cb_rx.depth, seen_tx, w_rx, None, power_model, noise, out)
+    tx = _lockstep_descend(cb_tx, cb_rx.depth, seen_tx, w_rx_h, None, power_model, noise, out)
     out.pairs[:, 0] = tx + 1
     out.pairs[:, 1] = rx + 1
     return out
@@ -225,20 +228,29 @@ def lockstep_exhaustive(
 
     Per realization the leaf couplings are ``(S_rx^H A_rx * c)(S_tx^H
     A_tx)^H``, an O(L N^2) product; one realization's N_tx x N_rx couplings
-    exist at a time.
+    exist at a time, in two buffers the block reuses.
     """
     n_tx, n_rx = block.a_tx.shape[-1], block.a_rx.shape[-1]
-    on_rx = block.a_rx @ steering_matrix(n_rx).conj()  # (B, L, N_rx)
-    on_tx = block.a_tx @ steering_matrix(n_tx).conj()  # (B, L, N_tx)
+    # The leaf matrix is packed once per side: one (B*L, N) product, not one
+    # per realization.  At L = 1 the stacked product stays, because NumPy runs
+    # its one-row products as matrix-vector calls, whose bits a flat matrix
+    # product does not reproduce.
+    on_rx, on_tx = (  # (B, L, N_rx) and (B, L, N_tx)
+        ((a.reshape(-1, n) if a.shape[1] > 1 else a) @ steering_matrix(n).conj()).reshape(a.shape)
+        for a, n in ((block.a_rx, n_rx), (block.a_tx, n_tx))
+    )
     scaled = math.sqrt(n_tx * n_rx) * block.coeff
-    pairs = np.empty((len(scaled), 2), dtype=np.intp)
+    best_index = np.empty(len(scaled), dtype=np.intp)
     best = np.empty(len(scaled))
+    prod = np.empty((n_tx, n_rx), complex)
+    by_tx = np.empty((n_tx, n_rx))
     for b, (c, tx_leaves, rx_leaves) in enumerate(zip(scaled, on_tx, on_rx)):
+        np.matmul(tx_leaves.T.conj(), c[:, np.newaxis] * rx_leaves, out=prod)
+        np.square(np.abs(prod, out=by_tx), out=by_tx)
         # Row-major argmax scans tx first, then rx: ties go to the smallest pair.
-        by_tx = np.abs(tx_leaves.T.conj() @ (c[:, np.newaxis] * rx_leaves)) ** 2
-        tx_idx, rx_idx = divmod(int(np.argmax(by_tx)), n_rx)
-        pairs[b] = tx_idx + 1, rx_idx + 1
-        best[b] = by_tx[tx_idx, rx_idx]
+        best_index[b] = np.argmax(by_tx)
+        best[b] = by_tx.flat[best_index[b]]
+    pairs = np.column_stack(np.divmod(best_index, n_rx)) + 1
     return pairs, power_model.scale(n_tx) * best
 
 

@@ -4,9 +4,12 @@ what the package computes another way.
 A plain, independent form of one realization's search, exhaustive scan and
 adjudication: the channel is its N_rx x N_tx matrix, and each measurement is
 one matrix-vector product with its own noise draw.  Tests compare the engine
-against it.  :func:`draw_realization` is the stream contract drawn with
-NumPy's own seeding objects, which the block seeding must match byte for
-byte; :func:`coverage_gains_reference` is the one-shot coverage transform
+against it.  :func:`draw_paths` is one realization's draw in four plain
+calls, and :func:`draw_realization` the stream contract drawn with it from
+NumPy's own seeding objects; the block draw and the block seeding must match
+them byte for byte.  :func:`lockstep_exhaustive` is the oracle with one
+stacked leaf product per side, which the block-packed one must match byte
+for byte; :func:`coverage_gains_reference` is the one-shot coverage transform
 that the row-blocked one must match byte for byte; :func:`active_counts_reference`
 is the weight-set check with a boolean gather, which the in-place one must
 match in counts and refusals; :func:`random_awv` and
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from beamtrain.arrays import steering_matrix, steering_weights
-from beamtrain.channels import draw_paths
+from beamtrain.channels import db_to_linear
 from beamtrain.search import nearest_leaf
 
 
@@ -74,6 +77,25 @@ def exhaustive(h, power_model):
     return (tx + 1, rx + 1), power_model.scale(n_tx) * float(coupling_sq[rx, tx])
 
 
+def lockstep_exhaustive(block, power_model):
+    """The oracle over a path block with one stacked leaf product per side and
+    a fresh coupling array per realization, which the block-packed one must
+    match byte for byte."""
+    n_tx, n_rx = block.a_tx.shape[-1], block.a_rx.shape[-1]
+    on_rx = block.a_rx @ steering_matrix(n_rx).conj()  # (B, L, N_rx)
+    on_tx = block.a_tx @ steering_matrix(n_tx).conj()  # (B, L, N_tx)
+    scaled = math.sqrt(n_tx * n_rx) * block.coeff
+    pairs = np.empty((len(scaled), 2), dtype=np.intp)
+    best = np.empty(len(scaled))
+    for b, (c, tx_leaves, rx_leaves) in enumerate(zip(scaled, on_tx, on_rx)):
+        # Row-major argmax scans tx first, then rx: ties go to the smallest pair.
+        by_tx = np.abs(tx_leaves.T.conj() @ (c[:, np.newaxis] * rx_leaves)) ** 2
+        tx_idx, rx_idx = divmod(int(np.argmax(by_tx)), n_rx)
+        pairs[b] = tx_idx + 1, rx_idx + 1
+        best[b] = by_tx[tx_idx, rx_idx]
+    return pairs, power_model.scale(n_tx) * best
+
+
 def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):
     """Whether the found ``pair`` succeeds under ``policy`` on the channel of
     ``paths`` ``(coeff, omega, psi)``."""
@@ -83,6 +105,31 @@ def adjudicate(pair, exhaustive_pair, n_tx, n_rx, paths, policy):
     if policy == "align-strongest":
         paths = [max(paths, key=lambda path: abs(path[0]))]
     return any(pair == (nearest_leaf(n_tx, p), nearest_leaf(n_rx, o)) for _, o, p in paths)
+
+
+def draw_paths(params, rng):
+    """One realization's paths ``(coeff, omega, psi)``, each of length L, from
+    ``rng`` by four calls: receive-side angles, transmit-side angles, then
+    the diffuse coefficients' real and imaginary parts.  The block draw must
+    match it byte for byte, row by row."""
+    n_paths = params.n_paths
+    omega = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
+    psi = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_paths))
+    if params.kind == "nlos":
+        scale = math.sqrt(1.0 / (2.0 * n_paths))
+        coeff = scale * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+    else:
+        gap = db_to_linear(params.eta_db)
+        denom = gap + n_paths - 1.0
+        coeff = np.empty(n_paths, dtype=np.complex128)
+        coeff[0] = math.sqrt(gap / denom)
+        n_diffuse = n_paths - 1
+        if n_diffuse:
+            scale = math.sqrt(1.0 / (2.0 * denom))
+            coeff[1:] = scale * (
+                rng.standard_normal(n_diffuse) + 1j * rng.standard_normal(n_diffuse)
+            )
+    return coeff, omega, psi
 
 
 def draw_realization(params, entropy, n_steps):

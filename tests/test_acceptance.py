@@ -144,10 +144,8 @@ def test_criterion_05_subarray_phase_optimum():
 
 def _block(params: ChannelParams, stream: int, realizations: int) -> PathBlock:
     """Realization r's paths from ``default_rng((SEED, stream, r))``."""
-    drawn = [
-        draw_paths(params, np.random.default_rng((SEED, stream, r))) for r in range(realizations)
-    ]
-    return PathBlock(*(np.stack(c) for c in zip(*drawn)), params.n_tx, params.n_rx)
+    rngs = [np.random.default_rng((SEED, stream, r)) for r in range(realizations)]
+    return PathBlock(*draw_paths(params, rngs), params.n_tx, params.n_rx)
 
 
 def _noise(stream: int, realizations: int, n: int) -> np.ndarray:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import reference
 from beamtrain import ChannelParams, PowerModel, draw_paths, steering_weights
 from beamtrain.arrays import MAX_PATHS
+from beamtrain.channels import KINDS
 from beamtrain.search import PathBlock, lockstep_exhaustive
 
 
@@ -42,39 +45,37 @@ class TestSampling:
     def test_matrix_matches_path_sum(self):
         # The engine's per-path responses rebuild the dense channel.
         params = ChannelParams(n_tx=16, n_rx=8, n_paths=4, kind="nlos")
-        coeff, omega, psi = draw_paths(params, np.random.default_rng(1))
-        block = PathBlock(coeff[np.newaxis], omega[np.newaxis], psi[np.newaxis], 16, 8)
+        paths = draw_paths(params, [np.random.default_rng(1)])
+        block = PathBlock(*paths, 16, 8)
+        coeff, omega, psi = (x[0] for x in paths)
         a_rx, a_tx = block.a_rx[0], block.a_tx[0]  # (L, N) each
         rebuilt = math.sqrt(16 * 8) * (a_rx.T * coeff) @ a_tx.conj()
         want = reference.channel_matrix(16, 8, coeff, omega, psi)
         np.testing.assert_allclose(rebuilt, want, atol=1e-12)
 
     def test_angles_within_domain(self):
-        _, omega, psi = draw_paths(ChannelParams(8, 8, 6), np.random.default_rng(2))
+        _, omega, psi = draw_paths(ChannelParams(8, 8, 6), [np.random.default_rng(2)])
         assert np.all(np.abs(omega) <= 1.0) and np.all(np.abs(psi) <= 1.0)
 
     def test_deterministic_given_seed(self):
         params = ChannelParams(8, 8, 3)
-        a = draw_paths(params, np.random.default_rng(42))
-        b = draw_paths(params, np.random.default_rng(42))
+        a = draw_paths(params, [np.random.default_rng(42)])
+        b = draw_paths(params, [np.random.default_rng(42)])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_single_path_power_normalization(self):
         params = ChannelParams(4, 4, 1, kind="nlos")
         rng = np.random.default_rng(3)
-        powers = [abs(draw_paths(params, rng)[0][0]) ** 2 for _ in range(10_000)]
+        powers = np.abs(draw_paths(params, [rng] * 10_000)[0][:, 0]) ** 2
         assert np.mean(powers) == pytest.approx(1.0, abs=0.05)
 
     def test_dominant_path_power_gap(self):
         gap = 10.0 ** 1.5
         params = ChannelParams(4, 4, 3, kind="los", eta_db=15.0)
         rng = np.random.default_rng(4)
-        lead, diffuse = [], []
-        for _ in range(4000):
-            coeff = draw_paths(params, rng)[0]
-            lead.append(abs(coeff[0]) ** 2)
-            diffuse.extend(np.abs(coeff[1:]) ** 2)
+        coeff = draw_paths(params, [rng] * 4000)[0]  # 4000 realizations from one stream
+        lead, diffuse = np.abs(coeff[:, 0]) ** 2, np.abs(coeff[:, 1:]) ** 2
         # The dominant coefficient is deterministic with zero phase.
         assert np.std(lead) == pytest.approx(0.0, abs=1e-12)
         assert np.mean(lead) / np.mean(diffuse) == pytest.approx(gap, rel=0.05)
@@ -83,14 +84,31 @@ class TestSampling:
         for kind in ("nlos", "los"):
             params = ChannelParams(4, 4, 3, kind=kind, eta_db=15.0)
             rng = np.random.default_rng(5)
-            totals = [np.sum(np.abs(draw_paths(params, rng)[0]) ** 2) for _ in range(5000)]
+            totals = np.sum(np.abs(draw_paths(params, [rng] * 5000)[0]) ** 2, axis=1)
             se = np.std(totals, ddof=1) / np.sqrt(len(totals))
             assert abs(np.mean(totals) - 1.0) < 3 * se + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n_paths=st.integers(1, 8),
+        b=st.integers(1, 70),
+        eta_db=st.floats(-30.0, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_draw_equals_per_realization_draw(self, kind, n_paths, b, eta_db, seed):
+        # Row r of the block is realization r's four-call draw, byte for byte.
+        params = ChannelParams(4, 4, n_paths, kind, eta_db)
+        got = draw_paths(params, [np.random.default_rng((seed, r)) for r in range(b)])
+        assert all(x.shape == (b, n_paths) for x in got)
+        for r in range(b):
+            want = reference.draw_paths(params, np.random.default_rng((seed, r)))
+            assert [x[r].tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_cosine_angles_have_arcsine_law(self):
         params = ChannelParams(4, 4, 1)
         rng = np.random.default_rng(6)
-        omegas = [draw_paths(params, rng)[1][0] for _ in range(4000)]
+        omegas = draw_paths(params, [rng] * 4000)[1][:, 0]
         # cos(uniform angle) has the arcsine distribution on [-1, 1]
         res = stats.kstest(omegas, stats.arcsine(loc=-1, scale=2).cdf)
         assert res.pvalue > 0.01
@@ -121,7 +139,7 @@ class TestBestPairGain:
     def test_matches_literal_double_loop(self):
         params = ChannelParams(16, 16, 2)
         for seed in range(3):
-            paths = draw_paths(params, np.random.default_rng(seed))
+            paths = [x[0] for x in draw_paths(params, [np.random.default_rng(seed)])]
             h = reference.channel_matrix(16, 16, *paths)
             assert oracle_gain(16, *paths) == pytest.approx(literal_pair_scan(h), rel=1e-10)
 

@@ -424,6 +424,19 @@ class TestExport:
         with pytest.raises(ValueError, match="layers"):
             Codebook(n=16, method=method, layers=layers)
 
+    def test_caller_arrays_are_copied(self):
+        # A writeable array, or a read-only view of one, stays the caller's:
+        # changing it afterwards leaves the codebook as it was built.
+        cb = generate_codebook("bmw-ss", 8)
+        owned = [layer.copy() for layer in cb.layers]
+        layers = [layer.view() if k % 2 else layer for k, layer in enumerate(owned)]
+        for view in layers[1::2]:
+            view.setflags(write=False)
+        built = Codebook(n=8, method="bmw-ss", layers=layers)
+        for layer in owned:
+            layer[...] = 0
+        assert [x.tobytes() for x in built.layers] == [x.tobytes() for x in cb.layers]
+
     def test_codebook_needs_power_of_two_n(self):
         with pytest.raises(ValueError, match="power of two"):
             Codebook(n=12, method="deact", layers=generate_codebook("deact", 16).layers)

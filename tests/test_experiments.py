@@ -170,9 +170,15 @@ class TestSuccessRate:
         # Two SNR points or two channel kinds, each of 3 realizations.
         calls = {"channels": 0, "oracles": 0}
 
-        def counted_paths(params, rng):
-            calls["channels"] += 1
-            return draw_paths(params, rng)
+        def counted(rngs):
+            # Counts each realization as it is drawn: the streams re-seed one
+            # generator, so they must not be collected first.
+            for rng in rngs:
+                calls["channels"] += 1
+                yield rng
+
+        def counted_paths(params, rngs):
+            return draw_paths(params, counted(rngs))
 
         def counted_oracle(block, power_model):
             calls["oracles"] += len(block.coeff)  # one evaluation per realization

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -36,8 +36,8 @@ def path_block(n_tx, n_rx, coeff, omega, psi):
 
 def drawn_block(params, seeds):
     """The block of the paths that ``draw_paths`` draws from each seed."""
-    drawn = [draw_paths(params, np.random.default_rng(seed)) for seed in seeds]
-    return path_block(params.n_tx, params.n_rx, *(np.stack(column) for column in zip(*drawn)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return path_block(params.n_tx, params.n_rx, *draw_paths(params, rngs))
 
 
 def zero_block(n_tx, n_rx, b=1):
@@ -97,7 +97,7 @@ class TestMeasure:
         cb = generate_codebook("bmw-ss", 8)
         out = search(cb, cb, block, PowerModel("total", 0.0), [(1, i) for i in range(4)])
         for i in range(4):
-            h = reference.channel_matrix(8, 8, *draw_paths(params, np.random.default_rng(i)))
+            h = reference.channel_matrix(8, 8, block.coeff[i], block.omega[i], block.psi[i])
             rx = out.pairs[i, 1]
             for stage, winner in enumerate(out.winners[i]):
                 if stage < cb.depth:  # the root transmits
@@ -256,8 +256,9 @@ class TestLockstepMatchesReference:
         params = ChannelParams(n_tx, n_rx, n_paths, kind)
         pm = PowerModel(mode, noise_power)
         n_steps = n_tx.bit_length() + n_rx.bit_length() - 2
-        drawn = [draw_paths(params, np.random.default_rng((seed, i))) for i in range(blocks)]
-        block = path_block(n_tx, n_rx, *(np.stack(column) for column in zip(*drawn)))
+        paths = draw_paths(params, [np.random.default_rng((seed, i)) for i in range(blocks)])
+        block = path_block(n_tx, n_rx, *paths)
+        drawn = list(zip(*paths))  # each realization's (coeff, omega, psi)
         noise = np.stack(
             [
                 np.random.default_rng((seed, i, 1)).standard_normal(4 * n_rx * n_steps)
@@ -324,9 +325,11 @@ class TestExhaustiveSearch:
     def test_matches_literal_double_loop(self):
         params = ChannelParams(16, 16, 3)
         pm = PowerModel("total", 0.0)
-        pairs, best = lockstep_exhaustive(drawn_block(params, range(3)), pm)
+        block = drawn_block(params, range(3))
+        pairs, best = lockstep_exhaustive(block, pm)
         for seed in range(3):
-            h = reference.channel_matrix(16, 16, *draw_paths(params, np.random.default_rng(seed)))
+            paths = block.coeff[seed], block.omega[seed], block.psi[seed]
+            h = reference.channel_matrix(16, 16, *paths)
             gains = np.empty((16, 16))
             for i in range(16):
                 w_t = steering_weights(16, -1 + (2 * (i + 1) - 1) / 16)
@@ -343,6 +346,26 @@ class TestExhaustiveSearch:
         per_pairs, per = lockstep_exhaustive(block, PowerModel("per-antenna", 0.0))
         np.testing.assert_array_equal(per_pairs, pairs)
         np.testing.assert_array_equal(per, 16 * total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_tx=st.sampled_from([2, 8, 32, 64]),
+        n_rx=st.sampled_from([2, 8, 32, 64]),
+        kind=st.sampled_from(KINDS),
+        n_paths=st.sampled_from([1, 1, 2, 3, 8]),
+        b=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_tx=8, n_rx=32, kind="los", n_paths=1, b=13, seed=0)
+    @example(n_tx=64, n_rx=8, kind="nlos", n_paths=3, b=13, seed=1)
+    def test_equals_stacked_reference_bit_for_bit(self, n_tx, n_rx, kind, n_paths, b, seed):
+        # One flat leaf product per side (the stacked one at L = 1) and the
+        # reused coupling buffers give the plain oracle's pairs and gains.
+        params = ChannelParams(n_tx, n_rx, n_paths, kind)
+        block = drawn_block(params, [(seed, i) for i in range(b)])
+        pm = PowerModel("per-antenna", 0.0)
+        got, want = lockstep_exhaustive(block, pm), reference.lockstep_exhaustive(block, pm)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_all_ties_resolve_to_first_pair(self):
         pairs, _ = lockstep_exhaustive(zero_block(8, 8), PowerModel("total", 1e-4))
