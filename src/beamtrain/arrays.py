@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "check_coverage_grid",
     "check_grid",
     "check_int",
+    "check_real",
     "check_rho",
     "steering_weights",
     "steering_matrix",
@@ -90,6 +92,14 @@ def check_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float (NumPy reals and integers included), or a
+    ``ValueError`` naming the field."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def active_counts(weights) -> np.ndarray:

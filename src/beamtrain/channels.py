@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .arrays import MAX_PATHS, ReadOnly, check_choice, check_int
+from .arrays import MAX_PATHS, ReadOnly, check_choice, check_int, check_real
 
 __all__ = ["KINDS", "ChannelParams", "draw_paths"]
 
@@ -43,6 +43,7 @@ class ChannelParams(ReadOnly):
                  kind: str = "nlos", eta_db: float = 15.0) -> None:
         n_tx, n_rx = check_int("n_tx", n_tx), check_int("n_rx", n_rx)
         n_paths = check_int("n_paths", n_paths)
+        eta_db = check_real("eta_db", eta_db)
         check_choice("kind", kind, KINDS)
         if n_tx < 1 or n_rx < 1:
             raise ValueError("array sizes must be positive")

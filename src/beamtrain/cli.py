@@ -16,14 +16,7 @@ from pathlib import Path
 
 from .arrays import DEFAULT_GRID_POINTS
 from .channels import KINDS
-from .codebooks import (
-    METHODS,
-    check_array_size,
-    check_validation,
-    export_codebook,
-    generate_codebook,
-    validate_codebook,
-)
+from .codebooks import METHODS, export_codebook, generate_codebook, validate_codebook
 from .experiments import (
     DEFAULT_PATTERN_CODEWORDS,
     DEFAULT_SNR_GRID,
@@ -224,21 +217,19 @@ def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfi
 
 
 def _cmd_codebook(args) -> int:
-    if args.validate:
-        # Checked before any output, so a bad validator argument writes no file;
-        # a bad array size still reports first.
-        check_array_size(args.n, args.method)
-        check_validation(args.n, args.rho, args.grid_points, args.parent_rho)
     cb = generate_codebook(args.method, args.n)
+    # Validated before any output, so a bad validator argument writes no file;
+    # a bad array size still reports first.
+    if args.validate:
+        report = validate_codebook(
+            cb, rho=args.rho, grid_points=args.grid_points, parent_rho=args.parent_rho
+        )
     print(f"generated {cb.method} codebook: n={cb.n}, layers={cb.depth + 1}, "
           f"codewords={2 ** (cb.depth + 1) - 1}")
     if args.out is not None:
         export_codebook(cb, args.out)
         print(f"wrote {args.out}")
     if args.validate:
-        report = validate_codebook(
-            cb, rho=args.rho, grid_points=args.grid_points, parent_rho=args.parent_rho
-        )
         for line in report.summary_lines():
             print(line)
         if not report.passed:

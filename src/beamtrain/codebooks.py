@@ -41,7 +41,6 @@ __all__ = [
     "METHODS",
     "Codebook",
     "check_array_size",
-    "check_validation",
     "generate_codebook",
     "validate_codebook",
     "CoverageReport",
@@ -209,16 +208,6 @@ class CoverageReport(ReadOnly):
         return lines
 
 
-def check_validation(n: int, rho: float, grid_points: int, parent_rho: float | None) -> None:
-    """Reject :func:`validate_codebook`'s arguments for an n-antenna codebook
-    before any grid-sized array exists, in the order the validator reports
-    them: ``parent_rho``, the grid (:func:`check_coverage_grid`), then ``rho``."""
-    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
-        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
-    check_coverage_grid(grid_points, n)
-    check_rho(rho)
-
-
 def validate_codebook(
     cb: Codebook,
     rho: float = 0.5,
@@ -236,8 +225,14 @@ def validate_codebook(
     parent and children to one common tolerant threshold would inflate the
     parent's shoulders faster than the children's; the per-beam factor is the
     threshold at which a steered beam's coverage equals its designed width.
+
+    The arguments are checked before any grid-sized array exists, in this
+    order: ``parent_rho``, the grid (:func:`check_coverage_grid`), then ``rho``.
     """
-    check_validation(cb.n, rho, grid_points, parent_rho)
+    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
+        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
+    check_coverage_grid(grid_points, cb.n)
+    check_rho(rho)
     points = angle_grid(grid_points)
     uncovered, violations = [], []
     for k, layer in enumerate(cb.layers):

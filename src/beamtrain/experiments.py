@@ -32,6 +32,7 @@ from .arrays import (
     check_choice,
     check_grid,
     check_int,
+    check_real,
 )
 from .channels import KINDS, ChannelParams, draw_paths
 from .codebooks import METHODS, Codebook, check_array_size, generate_codebook
@@ -123,7 +124,7 @@ class ExperimentConfig(ReadOnly):
         if len(set(methods)) < len(methods):
             raise ValueError(f"methods must not repeat, got {','.join(methods)}")
         check_choice("power_mode", power_mode, POWER_MODES)
-        snr = tuple(float(x) for x in snr_db)
+        snr = tuple(check_real("snr_db", x) for x in snr_db)
         if n_tx < 2 or n_rx < 2:
             raise ValueError("n_tx and n_rx must be at least 2: a search needs one stage")
         n_steps = check_array_size(n_tx) + check_array_size(n_rx)

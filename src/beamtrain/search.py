@@ -23,7 +23,14 @@ import math
 
 import numpy as np
 
-from .arrays import ReadOnly, check_choice, leaf_angles, steering_matrix, steering_weights
+from .arrays import (
+    ReadOnly,
+    check_choice,
+    check_real,
+    leaf_angles,
+    steering_matrix,
+    steering_weights,
+)
 from .channels import db_to_linear
 from .codebooks import Codebook
 
@@ -56,6 +63,7 @@ class PowerModel(ReadOnly):
 
     def __init__(self, mode: str, noise_power: float) -> None:
         check_choice("mode", mode, POWER_MODES)
+        noise_power = check_real("noise_power", noise_power)
         if not 0.0 <= noise_power < math.inf:
             raise ValueError(f"noise power must be finite and non-negative, got {noise_power}")
         vars(self).update(mode=mode, noise_power=noise_power)
@@ -63,7 +71,7 @@ class PowerModel(ReadOnly):
     @classmethod
     def from_snr_db(cls, mode: str, snr_db: float) -> "PowerModel":
         """Set the noise floor so that one watt over it is the requested SNR."""
-        noise_power = db_to_linear(-snr_db)
+        noise_power = db_to_linear(-check_real("snr_db", snr_db))
         if not math.isfinite(noise_power):
             raise ValueError(f"snr_db={snr_db} puts the noise floor out of float range")
         return cls(mode, noise_power)
@@ -120,45 +128,26 @@ class LockstepOutcome:
 
 
 def _lockstep_descend(
-    cb: Codebook,
-    first: int,
-    seen: np.ndarray,
-    w_rx_h: np.ndarray | None,
-    tx_active,
-    power_model: PowerModel,
-    noise: np.ndarray,
-    out: LockstepOutcome,
+    depth: int, measure, std: float, noise: np.ndarray, first: int, out: LockstepOutcome
 ) -> np.ndarray:
-    """Walk ``cb`` for every realization at once, filling stages ``first``
-    onward of ``out``; returns the winning leaf rows (0-based), shape (B,).
+    """Walk a binary tree of ``depth`` layers below its root for every
+    realization at once, filling stages ``first`` onward of ``out``; returns
+    the winning leaf rows (0-based), shape (B,).
 
-    ``seen`` (B, N) is the channel the candidates meet: ``H w_tx`` on the
-    receive side, where ``w_rx_h`` is None, the candidates combine the noise
-    and ``tx_active`` is the fixed transmit codeword's active count; or
-    ``w_rx^H H`` on the transmit side, where ``w_rx_h``, the (B, N_rx)
-    conjugate receive weights, combines the noise and each candidate brings
-    its own active count.
+    ``measure(k, children, nz)`` gives, for the (B, 2) candidate rows of
+    layer k, their noiseless couplings and combined noise, (B, 2) each, from
+    the stage's (B, 2, N_rx) receive noise ``nz``, and their power scale.
     """
-    rows = np.arange(seen.shape[0])
-    std = math.sqrt(power_model.noise_power / 2.0)
-    parent = np.zeros(seen.shape[0], dtype=np.intp)
-    for k in range(1, cb.depth + 1):
+    rows = np.arange(len(noise))
+    parent = np.zeros(len(noise), dtype=np.intp)
+    for k in range(1, depth + 1):
         stage = first + k - 1
         children = 2 * parent[:, np.newaxis] + np.arange(2)  # lower child first
-        cand = cb.layers[k][children]  # (B, 2, N)
         z = noise[:, stage]
         nz = z[:, :, 1] * 1j  # (B, 2, N_rx), built in one buffer
         nz += z[:, :, 0]
         nz *= std
-        if w_rx_h is None:
-            np.conjugate(cand, out=cand)
-            combined = np.einsum("bcn,bcn->bc", cand, nz)
-            active = tx_active
-        else:
-            combined = np.einsum("bn,bcn->bc", w_rx_h, nz)
-            active = cb.active_counts[k][children]
-        g = np.einsum("bcn,bn->bc", cand, seen)
-        scale = power_model.scale(active)
+        g, combined, scale = measure(k, children, nz)
         y_power = np.abs(np.sqrt(scale) * g + combined) ** 2
         # Ties go to the lower child index.
         high = (y_power[:, 1] > y_power[:, 0]).astype(np.intp)
@@ -202,16 +191,32 @@ def lockstep_search(
         want = (b, n_steps, 2, 2, n_rx)
         raise ValueError(f"noise block has shape {noise.shape}, expected {want}")
     scaled = math.sqrt(n_tx * n_rx) * block.coeff
+    a_tx_h = block.a_tx.conj()
+    std = math.sqrt(power_model.noise_power / 2.0)
     out = LockstepOutcome(b, n_steps)
-    w_root = cb_tx.layers[0][0]
-    seen_rx = np.einsum("bl,bln->bn", scaled * (block.a_tx.conj() @ w_root), block.a_rx)
-    rx = _lockstep_descend(
-        cb_rx, 0, seen_rx, None, cb_tx.active_counts[0][0], power_model, noise, out
-    )
+    seen_rx = np.einsum("bl,bln->bn", scaled * (a_tx_h @ cb_tx.layers[0][0]), block.a_rx)
+    root_scale = power_model.scale(cb_tx.active_counts[0][0])
+
+    def measure_rx(k, children, nz):
+        # The candidates combine their own noise; the transmitter stays at its root.
+        cand = cb_rx.layers[k][children]  # (B, 2, N_rx)
+        np.conjugate(cand, out=cand)
+        g = np.einsum("bcn,bn->bc", cand, seen_rx)
+        return g, np.einsum("bcn,bcn->bc", cand, nz), root_scale
+
+    rx = _lockstep_descend(cb_rx.depth, measure_rx, std, noise, 0, out)
     w_rx_h = cb_rx.layers[-1][rx].conj()  # (B, N_rx)
     on_rx = np.einsum("bn,bln->bl", w_rx_h, block.a_rx)
-    seen_tx = np.einsum("bl,bln->bn", scaled * on_rx, block.a_tx.conj())
-    tx = _lockstep_descend(cb_tx, cb_rx.depth, seen_tx, w_rx_h, None, power_model, noise, out)
+    seen_tx = np.einsum("bl,bln->bn", scaled * on_rx, a_tx_h)
+
+    def measure_tx(k, children, nz):
+        # The found receive leaf combines the noise; each candidate brings its
+        # own active count.
+        g = np.einsum("bcn,bn->bc", cb_tx.layers[k][children], seen_tx)
+        scale = power_model.scale(cb_tx.active_counts[k][children])
+        return g, np.einsum("bn,bcn->bc", w_rx_h, nz), scale
+
+    tx = _lockstep_descend(cb_tx.depth, measure_tx, std, noise, cb_rx.depth, out)
     out.pairs[:, 0] = tx + 1
     out.pairs[:, 1] = rx + 1
     return out
@@ -234,9 +239,11 @@ def lockstep_exhaustive(
     # The leaf matrix is packed once per side: one (B*L, N) product, not one
     # per realization.  At L = 1 the stacked product stays, because NumPy runs
     # its one-row products as matrix-vector calls, whose bits a flat matrix
-    # product does not reproduce.
+    # product does not reproduce.  ``x @ conj(S)`` is taken as the bit-equal
+    # ``conj(conj(x) @ S)``, which conjugates the path sides, not the N x N S.
     on_rx, on_tx = (  # (B, L, N_rx) and (B, L, N_tx)
-        ((a.reshape(-1, n) if a.shape[1] > 1 else a) @ steering_matrix(n).conj()).reshape(a.shape)
+        np.conj(np.conj(a.reshape(-1, n) if a.shape[1] > 1 else a) @ steering_matrix(n))
+        .reshape(a.shape)
         for a, n in ((block.a_rx, n_rx), (block.a_tx, n_tx))
     )
     scaled = math.sqrt(n_tx * n_rx) * block.coeff

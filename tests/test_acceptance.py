@@ -6,7 +6,6 @@ All Monte-Carlo gates use seed 1 and 1000 realizations.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -178,30 +177,17 @@ def test_criterion_06_noiseless_search_matches_exhaustive():
     )
 
 
-class _CountedLayer:
-    """A codebook layer that counts, per realization, the rows each stage
-    reads for measurement: the engine indexes a layer with a (B, children)
-    array of candidate rows once per stage."""
-
-    def __init__(self, layer: np.ndarray, stages: list) -> None:
-        self.layer, self.stages = layer, stages
-
-    def __getitem__(self, rows):
-        self.stages.append(np.shape(rows)[1:])
-        return self.layer[rows]
-
-
 def test_criterion_07_search_cost(monkeypatch):
     stages: list = []
     descend = search._lockstep_descend
 
-    def counted_descend(cb, *args):
-        counted = SimpleNamespace(
-            depth=cb.depth,
-            active_counts=cb.active_counts,
-            layers=[_CountedLayer(layer, stages) for layer in cb.layers],
-        )
-        return descend(counted, *args)
+    def counted_descend(depth, measure, *args):
+        # ``children`` is (B, candidates): record each stage's candidates per realization.
+        def counted_measure(k, children, nz):
+            stages.append(np.shape(children)[1:])
+            return measure(k, children, nz)
+
+        return descend(depth, counted_measure, *args)
 
     monkeypatch.setattr(search, "_lockstep_descend", counted_descend)
     pm = PowerModel.from_snr_db("total", 20.0)

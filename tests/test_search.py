@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -312,6 +314,39 @@ class TestLockstepMatchesReference:
         got = nearest_leaf(16, angles)
         assert got.shape == (5, 3)
         assert got.tolist() == [[nearest_leaf(16, a) for a in row] for row in angles]
+
+
+# (n_tx, n_rx, paths, kind, power mode, noise power): a sha256 prefix over both
+# methods' searches of five realizations and the oracle's pairs and gains.
+PINNED_OUTCOMES = {
+    (64, 64, 3, "nlos", "total", 0.0): "a81b0dfdc3c05d753416870f868efd44",
+    (64, 64, 1, "los", "per-antenna", 1e-2): "23f2b4708cca199b55043af72ad91856",
+    (256, 256, 8, "nlos", "per-antenna", 1e-3): "53146d8b259ee9efa6f02aae4128c07f",
+    (256, 256, 1, "los", "total", 0.0): "0acbcfef7ca98869490cf3bd1ac15f28",
+    (8, 64, 8, "los", "total", 1e-2): "759ca42804add4feb539957fc2d4da6a",
+    (64, 16, 3, "nlos", "per-antenna", 0.0): "932d0ff68fa61a1ff4d754276c7c005a",
+    (256, 32, 1, "nlos", "total", 1e-4): "2696214a3e49bcd726a77da307dfc878",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_OUTCOMES, ids=str)
+def test_lockstep_outcomes_match_pinned_digests(case):
+    """Every bit of the engine's outcomes: the reference comparisons above
+    hold at ``rtol=1e-12`` and cannot see a ULP move.  Like
+    ``test_layers_match_pinned_digests``, the digests pin NumPy 2.4.6 on
+    x86-64; another NumPy or BLAS may round differently."""
+    n_tx, n_rx, n_paths, kind, mode, noise_power = case
+    block = drawn_block(ChannelParams(n_tx, n_rx, n_paths, kind), range(5))
+    pm = PowerModel(mode, noise_power)
+    digest = hashlib.sha256()
+    for method in ("bmw-ss", "deact"):
+        cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
+        out = search(cb_tx, cb_rx, block, pm, range(100, 105))
+        for array in (out.pairs, out.winners, out.y_power, out.gains):
+            digest.update(array.tobytes())
+    for array in lockstep_exhaustive(block, pm):
+        digest.update(array.tobytes())
+    assert digest.hexdigest()[:32] == PINNED_OUTCOMES[case]
 
 
 class TestExhaustiveSearch:

@@ -198,6 +198,25 @@ def test_library_refuses_non_integers(make, field, value):
         make(value)
 
 
+@pytest.mark.parametrize("value", [None, "1", 1j])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: ExperimentConfig(eta_db=v), "eta_db"),
+        (lambda v: ExperimentConfig(snr_db=(0.0, v)), "snr_db"),
+        (lambda v: ChannelParams(8, 8, 2, "los", v), "eta_db"),
+        (lambda v: PowerModel("total", v), "noise_power"),
+        (lambda v: PowerModel.from_snr_db("total", v), "snr_db"),
+    ],
+    ids=["ExperimentConfig.eta_db", "ExperimentConfig.snr_db", "ChannelParams.eta_db",
+         "PowerModel", "PowerModel.from_snr_db"],
+)
+def test_library_refuses_non_real_numbers(make, field, value):
+    message = rf"^{field} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
 def test_library_takes_numpy_integers():
     params = ChannelParams(np.int64(8), np.int32(16), np.uint8(2))
     cb = generate_codebook("deact", np.int64(8))
