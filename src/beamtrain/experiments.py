@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import time
+from itertools import product
 
 import numpy as np
 
@@ -196,10 +197,13 @@ class ExperimentResult:
             writer.writerows(self.rows)
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's mean over the realizations on axis 0 and its standard error:
+    the sample standard deviation (ddof=1) over sqrt(R), zero at R = 1.  Each
+    cell's realizations are reduced as one contiguous row."""
+    n = len(samples)
+    spread = np.std(np.moveaxis(samples, 0, -1).copy(), axis=-1, ddof=int(n > 1))
+    return np.mean(samples, axis=0), spread / math.sqrt(n)  # one sample spreads by 0
 
 
 def _db(x: float) -> float:
@@ -365,40 +369,20 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
     cells = [(kind, pm, (cfg.seed, _KIND_ID[kind])) for kind in kinds]
     bounds, winners = _run_chunked(cfg, cells, _power_reduce)
 
-    rows: list[tuple] = []
-    stats: dict = {"bound_db": {}, "bound_w": {}, "power": {}}
-    for ki, kind in enumerate(kinds):
-        bound_w = float(np.mean(bounds[:, ki]))
-        bound_db = _db(bound_w)
-        stats["bound_w"][kind] = bound_w
-        stats["bound_db"][kind] = bound_db
-        for mi, method in enumerate(cfg.methods):
-            samples = winners[:, ki, mi, :]
-            mean_w = np.mean(samples, axis=0)
-            mean_db = np.array([_db(x) for x in mean_w])
-            stderr_db = np.array(
-                [
-                    (10.0 / math.log(10.0)) * _stderr(samples[:, s]) / mean_w[s]
-                    for s in range(cfg.n_steps)
-                ]
-            )
-            stats["power"][(kind, method)] = {
-                "mean_power_w": mean_w,
-                "mean_power_db": mean_db,
-                "stderr_db": stderr_db,
-            }
-            for s in range(cfg.n_steps):
-                rows.append(
-                    (
-                        s + 1,
-                        method,
-                        kind,
-                        float(mean_w[s]),
-                        float(mean_db[s]),
-                        float(stderr_db[s]),
-                        bound_db,
-                    )
-                )
+    # Each bound is a 1-D mean, a pairwise sum, not the winners' sequential axis-0 sum.
+    bound_w = {kind: float(np.mean(b)) for kind, b in zip(kinds, bounds.T)}
+    bound_db = {kind: _db(w) for kind, w in bound_w.items()}
+    mean_w, se = _mean_stderr(winners.reshape(len(winners), -1))  # (kind, method, step) cells
+    mean_db = np.array(list(map(_db, mean_w.tolist())))
+    columns = (mean_w, mean_db, (10.0 / math.log(10.0)) * se / mean_w)
+    curves = zip(*(a.reshape(-1, cfg.n_steps) for a in columns))
+    stats: dict = {"bound_db": bound_db, "bound_w": bound_w, "power": {
+        key: {"mean_power_w": w, "mean_power_db": db, "stderr_db": sd}
+        for key, (w, db, sd) in zip(product(kinds, cfg.methods), curves)
+    }}
+    keys = product(kinds, cfg.methods, range(1, cfg.n_steps + 1))
+    rows = [(step, method, kind, w, db, sd, bound_db[kind])
+            for (kind, method, step), w, db, sd in zip(keys, *(a.tolist() for a in columns))]
     meta = {"elapsed_s": time.monotonic() - t0}
     return ExperimentResult(columns=POWER_COLUMNS, rows=rows, stats=stats, meta=meta)
 
@@ -430,27 +414,12 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     (flags,) = _run_chunked(cfg, cells, _success_reduce)
 
-    rows: list[tuple] = []
-    stats: dict = {"success": {}, "stderr": {}}
-    for mi, method in enumerate(cfg.methods):
-        for pi, policy in enumerate(POLICIES):
-            vals = flags[:, :, mi, pi].astype(float)
-            rate = np.mean(vals, axis=0)
-            se = np.array([_stderr(vals[:, si]) for si in range(len(cfg.snr_db))])
-            stats["success"][(method, policy)] = rate
-            stats["stderr"][(method, policy)] = se
-    for si, snr_db in enumerate(cfg.snr_db):
-        for method in cfg.methods:
-            for policy in POLICIES:
-                rows.append(
-                    (
-                        float(snr_db),
-                        method,
-                        policy,
-                        float(stats["success"][(method, policy)][si]),
-                        float(stats["stderr"][(method, policy)][si]),
-                    )
-                )
+    rate, se = _mean_stderr(flags.astype(float))  # (SNR points, methods, policies)
+    curves = list(product(cfg.methods, POLICIES))
+    stats = {key: dict(zip(curves, a.reshape(len(cfg.snr_db), -1).T.copy()))
+             for key, a in (("success", rate), ("stderr", se))}
+    rows = [(*cell, r, e) for cell, r, e in zip(
+        product(cfg.snr_db, cfg.methods, POLICIES), rate.ravel().tolist(), se.ravel().tolist())]
     meta = {"elapsed_s": time.monotonic() - t0}
     return ExperimentResult(columns=SUCCESS_COLUMNS, rows=rows, stats=stats, meta=meta)
 
@@ -508,8 +477,10 @@ def run_beam_patterns(
     omega = angle_grid(grid_points)
     cb = generate_codebook(method, n)
     columns: list[str] = ["omega"]
+    table = [omega.tolist()]
     profiles: dict[str, np.ndarray] = {}
     for layer, index in codewords:
+        layer, index = check_int("layer", layer), check_int("index", index)
         if not 0 <= layer <= cb.depth or not 1 <= index <= 2**layer:
             raise ValueError(f"no codeword at layer {layer}, index {index}")
         label = f"a_{layer}_{index}"
@@ -519,13 +490,9 @@ def run_beam_patterns(
         if per_antenna:
             weights = weights * math.sqrt(cb.active_counts[layer][index - 1])
         columns.extend([label, f"{label}_db"])
-        profiles[label] = np.abs(beam_gain(weights, omega))
-    rows = []
-    for gi, point in enumerate(omega):
-        row: list = [float(point)]
-        for gains in profiles.values():
-            lin = float(gains[gi])
-            row.extend([lin, 20.0 * math.log10(max(lin, _DB_FLOOR))])
-        rows.append(tuple(row))
+        profiles[label] = gains = np.abs(beam_gain(weights, omega))
+        lin = gains.tolist()
+        table += [lin, [20.0 * math.log10(max(x, _DB_FLOOR)) for x in lin]]
+    rows = list(zip(*table))
     stats = {"gains": profiles, "omega": omega}
     return ExperimentResult(columns=tuple(columns), rows=rows, stats=stats)

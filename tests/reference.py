@@ -13,7 +13,9 @@ for byte; :func:`coverage_gains_reference` is the one-shot coverage transform
 that the row-blocked one must match byte for byte; :func:`active_counts_reference`
 is the weight-set check with a boolean gather, which the in-place one must
 match in counts and refusals; :func:`random_awv` and
-:func:`subarray_phase_objective` serve the weight-set and phase-design tests.
+:func:`subarray_phase_objective` serve the weight-set and phase-design tests;
+:func:`stderr` is one cell's standard error from its own column, which the
+one-call summary of every cell must match byte for byte.
 """
 
 import math
@@ -200,3 +202,11 @@ def random_awv(n: int, rng: np.random.Generator, activation_prob: float = 0.5) -
         active[int(rng.integers(n))] = True
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
     return np.where(active, phases / math.sqrt(int(active.sum())), 0.0)
+
+
+def stderr(values: np.ndarray) -> float:
+    """One cell's standard error over its realizations: the sample standard
+    deviation (ddof=1) over sqrt(n), and 0.0 below two samples."""
+    if values.size < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))

@@ -200,6 +200,38 @@ class TestMonteCarloCommands:
         assert max(steps) == n_steps  # log2(n_tx) + log2(n_rx)
 
 
+# argv: the first 32 hex digits of sha256 over the --out CSV's bytes.  R = 1, 2,
+# 9 and 130 realizations, both power modes, every channel kind, N_tx != N_rx.
+PINNED_CSV = {
+    "mc-power --n 16 --channel both --power-mode total -r 1 --seed 1":
+        "5c6f01183a51c66e653dcf3336f252e9",
+    "mc-power --n 16 --channel los --power-mode per-antenna -r 2 --seed 2":
+        "62329492375667f8c8c9e6531ccedfb1",
+    "mc-power --n-tx 8 --n-rx 32 --channel nlos --power-mode total -r 9 --seed 3":
+        "ecd1943f0123f4351450b57ce4ae56a6",
+    "mc-power --n 32 --channel both --power-mode per-antenna -r 130 --seed 4":
+        "68ea820f25c45faec2a38a8c6aeeac10",
+    "mc-success --n 16 --channel nlos --power-mode total -r 1 --snr-grid 0,20 --seed 1":
+        "99c4f2e275a423ccea1f80919cfc60a7",
+    "mc-success --n 16 --channel los --power-mode per-antenna -r 2 --seed 2":
+        "458ae83911ef10f1284418856169baac",
+    "mc-success --n-tx 32 --n-rx 8 --channel nlos --power-mode per-antenna -r 9 --seed 3":
+        "731637a003280f9858fda82f7b426039",
+    "mc-success --n 32 --channel los --power-mode total -r 130 --seed 4":
+        "fedcdc43a8812c99288f4d4268e95788",
+    "pattern --method bmw-ss --n 64 --per-antenna": "733bc263e09c7586fea5194e44c86932",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_CSV)
+def test_csv_bytes_match_pinned_digests(argv, tmp_path, capsys):
+    """Every byte of the result tables, means and standard errors included.
+    Like the engine's pinned digests, these pin NumPy 2.4.6 on x86-64."""
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv.split(), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:32] == PINNED_CSV[argv]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("grid", ["--snr-grid=nan", "--snr-grid=-inf,0"])
     def test_non_finite_snr_grid_exits_2(self, grid, capsys):

@@ -222,6 +222,55 @@ class TestSuccessRate:
         assert 2.0 < ratio < 5.0
 
 
+class TestSummary:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.integers(1, 300),
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        law=st.sampled_from(["flags", "powers"]),
+        constant=st.integers(0, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(r=1, shape=[3], law="powers", constant=5, seed=0)
+    @example(r=2, shape=[1], law="flags", constant=8, seed=0)
+    def test_mean_stderr_matches_per_column_form(self, r, shape, law, constant, seed):
+        """Bit for bit the per-column form, which depends on NumPy's reduction
+        order: a NumPy that changes it fails here before it moves CSV bytes."""
+        rng = np.random.default_rng(seed)
+        if law == "flags":
+            samples = rng.integers(0, 2, size=(r, *shape)).astype(float)
+        else:
+            samples = rng.exponential(size=(r, *shape))
+        columns = samples.reshape(r, -1).T  # strided views, one per cell
+        columns[0] = constant / 8  # a constant whose sums are exact
+        mean, se = experiments._mean_stderr(samples)
+        expected = np.array([reference.stderr(column) for column in columns])
+        assert se.shape == mean.shape == tuple(shape)
+        assert se.ravel().tobytes() == expected.tobytes()
+        assert se.flat[0] == 0.0
+        assert mean.tobytes() == np.mean(samples, axis=0).tobytes()  # the axis-0 order
+
+    @pytest.mark.parametrize(
+        "run, channel, snr_db, shape",
+        [
+            (run_success_rate, "nlos", (0.0, 20.0), (3, 2, 2, 3)),  # SNR, method, policy
+            (run_received_power, "both", (20.0,), (3, 2 * 2 * 5)),  # kind x method x step
+        ],
+        ids=["success", "power"],
+    )
+    def test_one_summary_call_per_run(self, monkeypatch, run, channel, snr_db, shape):
+        shapes = []
+
+        def counted(samples):
+            shapes.append(samples.shape)
+            return summary(samples)
+
+        summary = experiments._mean_stderr
+        monkeypatch.setattr(experiments, "_mean_stderr", counted)
+        run(ExperimentConfig(n_tx=8, n_rx=4, channel=channel, snr_db=snr_db, realizations=3))
+        assert shapes == [shape]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_rows(self):
         cfg = ExperimentConfig(

@@ -15,6 +15,7 @@ from beamtrain import (
     export_codebook,
     generate_codebook,
     load_codebook,
+    run_beam_patterns,
     validate_codebook,
 )
 from beamtrain.codebooks import CoverageReport
@@ -188,9 +189,13 @@ def test_config_takes_numpy_integers():
         (lambda v: generate_codebook("deact", v), "n", 8.0),
         (lambda v: validate_codebook(generate_codebook("deact", 8), grid_points=v),
          "grid_points", 4096.0),
+        (lambda v: run_beam_patterns("deact", 8, codewords=((v, 1),)), "layer", 1.5),
+        (lambda v: run_beam_patterns("deact", 8, codewords=((1, v),)), "index", 1.0),
+        (lambda v: run_beam_patterns("deact", 8, codewords=((v, 1),)), "layer", "1"),
     ],
     ids=["ChannelParams.n_paths", "ChannelParams.n_tx", "ChannelParams.n_rx",
-         "generate_codebook", "validate_codebook"],
+         "generate_codebook", "validate_codebook", "run_beam_patterns.layer",
+         "run_beam_patterns.index", "run_beam_patterns.layer-str"],
 )
 def test_library_refuses_non_integers(make, field, value):
     message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
