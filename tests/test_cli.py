@@ -224,7 +224,7 @@ PINNED_CSV = {
 
 
 @pytest.mark.parametrize("argv", PINNED_CSV)
-def test_csv_bytes_match_pinned_digests(argv, tmp_path, capsys):
+def test_csv_bytes_match_pinned_digests(argv, tmp_path):
     """Every byte of the result tables, means and standard errors included.
     Like the engine's pinned digests, these pin NumPy 2.4.6 on x86-64."""
     out = tmp_path / "out.csv"
