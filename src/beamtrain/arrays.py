@@ -27,6 +27,7 @@ __all__ = [
     "steering_weights",
     "steering_matrix",
     "leaf_angles",
+    "leaf_weights",
     "beam_gain",
     "coverage_factor_rho",
     "coverage_gains",
@@ -154,6 +155,16 @@ def steering_matrix(n: int) -> np.ndarray:
     mat = steering_weights(n, leaf_angles(n))
     mat.setflags(write=False)
     return mat
+
+
+@functools.lru_cache(maxsize=32)
+def leaf_weights(n: int) -> np.ndarray:
+    """The leaf steering vectors as rows: ``steering_matrix(n).T`` copied into
+    C order, bit for bit, read-only and owning its data; cached.  Both
+    codebooks keep it as their last layer without copying it."""
+    leaves = steering_matrix(n).T.copy()
+    leaves.setflags(write=False)
+    return leaves
 
 
 def beam_gain(w, omega):

@@ -16,7 +16,14 @@ from pathlib import Path
 
 from .arrays import DEFAULT_GRID_POINTS
 from .channels import KINDS
-from .codebooks import METHODS, export_codebook, generate_codebook, validate_codebook
+from .codebooks import (
+    METHODS,
+    check_array_size,
+    check_validation,
+    export_codebook,
+    generate_codebook,
+    validate_codebook,
+)
 from .experiments import (
     DEFAULT_PATTERN_CODEWORDS,
     DEFAULT_SNR_GRID,
@@ -217,9 +224,12 @@ def _mc_config(args, channel: str, snr_db: tuple[float, ...]) -> ExperimentConfi
 
 
 def _cmd_codebook(args) -> int:
+    # Checked before the build, so a bad validator argument costs no codebook
+    # and writes no file; a bad array size still reports first.
+    check_array_size(args.n, args.method)
+    if args.validate:
+        check_validation(args.n, args.rho, args.grid_points, args.parent_rho)
     cb = generate_codebook(args.method, args.n)
-    # Validated before any output, so a bad validator argument writes no file;
-    # a bad array size still reports first.
     if args.validate:
         report = validate_codebook(
             cb, rho=args.rho, grid_points=args.grid_points, parent_rho=args.parent_rho

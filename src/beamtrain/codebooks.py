@@ -9,9 +9,9 @@ Two constructions are provided for power-of-two array sizes:
   lift the crossover dips) and, on alternating layers, by deactivating half
   of the sub-arrays.  Every codeword keeps all or half of the antennas live.
 
-Both codebooks end in the same leaf layer, the columns of
-``steering_matrix(N)`` (steering vectors spaced 2/N apart) bit for bit; within
-every other layer each codeword is a beam rotation of the first.
+Both codebooks end in the same leaf layer, ``leaf_weights(N)``: the columns
+of ``steering_matrix(N)`` (steering vectors spaced 2/N apart) bit for bit, as
+rows; within every other layer each codeword is a beam rotation of the first.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .arrays import (
     check_rho,
     coverage_factor_rho,
     coverage_gains,
+    leaf_weights,
     rotation_phases,
-    steering_matrix,
     steering_weights,
 )
 
@@ -41,6 +41,7 @@ __all__ = [
     "METHODS",
     "Codebook",
     "check_array_size",
+    "check_validation",
     "generate_codebook",
     "validate_codebook",
     "CoverageReport",
@@ -164,7 +165,7 @@ def generate_codebook(method: str, n: int) -> Codebook:
     del table  # freed before the leaves are built
     for layer in layers:
         layer.setflags(write=False)  # so the constructor keeps it uncopied
-    layers.append(steering_matrix(n).T)
+    layers.append(leaf_weights(n))
     return Codebook(n=n, method=method, layers=tuple(layers))
 
 
@@ -208,6 +209,16 @@ class CoverageReport(ReadOnly):
         return lines
 
 
+def check_validation(n: int, rho: float, grid_points: int, parent_rho: float | None) -> None:
+    """Reject :func:`validate_codebook`'s arguments for an n-antenna codebook
+    before the codebook or any grid-sized array need exist, in this order:
+    ``parent_rho``, the grid (:func:`check_coverage_grid`), then ``rho``."""
+    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
+        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
+    check_coverage_grid(grid_points, n)
+    check_rho(rho)
+
+
 def validate_codebook(
     cb: Codebook,
     rho: float = 0.5,
@@ -226,13 +237,9 @@ def validate_codebook(
     parent's shoulders faster than the children's; the per-beam factor is the
     threshold at which a steered beam's coverage equals its designed width.
 
-    The arguments are checked before any grid-sized array exists, in this
-    order: ``parent_rho``, the grid (:func:`check_coverage_grid`), then ``rho``.
+    The arguments are checked first, by :func:`check_validation`.
     """
-    if parent_rho is not None and not 0.0 < parent_rho < 1.0:
-        raise ValueError(f"parent_rho must lie strictly between 0 and 1, got {parent_rho}")
-    check_coverage_grid(grid_points, cb.n)
-    check_rho(rho)
+    check_validation(cb.n, rho, grid_points, parent_rho)
     points = angle_grid(grid_points)
     uncovered, violations = [], []
     for k, layer in enumerate(cb.layers):

@@ -50,6 +50,9 @@ __all__ = [
 POWER_MODES = ("total", "per-antenna")
 # The success criteria, in the order of lockstep_adjudicate's last axis.
 POLICIES = ("match-exhaustive", "align-any-mpc", "align-strongest")
+# Relative slack on lockstep_exhaustive's row bounds, far above their
+# rounding error (see its docstring).
+_BOUND_SLACK = 1e-6
 
 
 class PowerModel(ReadOnly):
@@ -222,6 +225,17 @@ def lockstep_search(
     return out
 
 
+def _row_bounds(scaled, on_tx, on_rx) -> np.ndarray:
+    """The row bounds ``U[b, i]``, (B, N_tx): at least every |coupling|^2 in
+    transmit row i of realization b that :func:`lockstep_exhaustive` computes
+    (see its docstring)."""
+    reach = np.abs(scaled) * np.abs(on_rx).max(axis=-1)  # |c_l| max_j |r_lj|, (B, L)
+    bound = np.einsum("bl,bli->bi", reach, np.abs(on_tx))
+    bound *= 1.0 + _BOUND_SLACK
+    bound += np.finfo(float).tiny
+    return np.square(bound, out=bound)
+
+
 def lockstep_exhaustive(
     block: PathBlock, power_model: PowerModel
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +245,35 @@ def lockstep_exhaustive(
     pairs do not depend on the power model; the gains follow it (last-layer
     codewords keep every transmit antenna active).
 
-    Per realization the leaf couplings are ``(S_rx^H A_rx * c)(S_tx^H
-    A_tx)^H``, an O(L N^2) product; one realization's N_tx x N_rx couplings
-    exist at a time, in two buffers the block reuses.
+    Per realization the leaf couplings are ``P = (S_tx^H A_tx)^H (c * S_rx^H
+    A_rx)``, an O(L N^2) product into one N_tx x N_rx buffer the block
+    reuses.  Only the rows of P that can hold the best pair are squared and
+    scanned.  With t = S_tx^H A_tx and r = S_rx^H A_rx, every coupling in
+    transmit row i obeys
+
+        |P[i, j]| <= sum_l |t_li| |c_l| max_j' |r_lj'| = S_i,
+
+    and the row bound is ``U_i = ((1 + delta) S_i + tiny)^2``, with delta =
+    ``_BOUND_SLACK`` = 1e-6 and tiny the smallest normal double.  It covers
+    rounding, with u = 2^-53 and L <= MAX_PATHS = 4096:
+
+    * the computed |P[i, j]| exceeds S_i by at most (2L + 9)u relative: 3u
+      for each rounded product c_l r_lj, (2L + 4)u for a ``zgemm`` sum of L
+      complex products in any order, 2u for the modulus (``hypot``);
+    * the computed S_i falls short by at most (L + 9)u: the three moduli, two
+      products per path, the L-term sum and the slack's own product;
+    * so (3L + 18)u, under 2e-12, is all the slack needs, far inside delta;
+    * below the normal range rounding errors are absolute, at most 2^-1075
+      each, and tiny = 2^-1022 covers far more of them than a scan makes;
+    * rounding is monotone: if a >= b, then fl(a^2) >= fl(b^2).
+
+    So U_i is at least every |P[i, j]|^2 the scan computes.  The scan squares
+    the row with the largest bound first; its largest value v is at most the
+    best cell.  Every row that holds a cell equal to the best then has U_i >=
+    v and is kept.  The kept rows, in ascending order, are squared and
+    scanned row-major, so the first maximum found is the first of the full
+    scan: the same pair, and the same float.  A zero channel has U = 0 and
+    keeps every row.
     """
     n_tx, n_rx = block.a_tx.shape[-1], block.a_rx.shape[-1]
     # The leaf matrix is packed once per side: one (B*L, N) product, not one
@@ -247,16 +287,26 @@ def lockstep_exhaustive(
         for a, n in ((block.a_rx, n_rx), (block.a_tx, n_tx))
     )
     scaled = math.sqrt(n_tx * n_rx) * block.coeff
+    bound = _row_bounds(scaled, on_tx, on_rx)
+    scaled_rx = scaled[:, :, np.newaxis] * on_rx  # each realization's c * r
     best_index = np.empty(len(scaled), dtype=np.intp)
     best = np.empty(len(scaled))
     prod = np.empty((n_tx, n_rx), complex)
-    by_tx = np.empty((n_tx, n_rx))
-    for b, (c, tx_leaves, rx_leaves) in enumerate(zip(scaled, on_tx, on_rx)):
-        np.matmul(tx_leaves.T.conj(), c[:, np.newaxis] * rx_leaves, out=prod)
-        np.square(np.abs(prod, out=by_tx), out=by_tx)
+    for b, (tx_leaves, rx_leaves, row_bound, top) in enumerate(
+        zip(on_tx, scaled_rx, bound, bound.argmax(axis=1))
+    ):
+        np.matmul(tx_leaves.T.conj(), rx_leaves, out=prod)
+        # Squaring is monotone, so the top row's largest |P|^2 is its largest
+        # |P|, squared.
+        floor = np.abs(prod[top]).max()
+        floor *= floor
+        # ``not <`` rather than ``>=``: a NaN keeps every row, as a full scan would.
+        rows = np.flatnonzero(~(row_bound < floor))
+        kept = np.square(np.abs(prod[rows]))
         # Row-major argmax scans tx first, then rx: ties go to the smallest pair.
-        best_index[b] = np.argmax(by_tx)
-        best[b] = by_tx.flat[best_index[b]]
+        row, col = divmod(int(np.argmax(kept)), n_rx)
+        best_index[b] = rows[row] * n_rx + col
+        best[b] = kept[row, col]
     pairs = np.column_stack(np.divmod(best_index, n_rx)) + 1
     return pairs, power_model.scale(n_tx) * best
 

@@ -270,6 +270,23 @@ class TestBadInput:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_coarse_default_grid_is_refused_before_the_build(self, capsys):
+        # At N=1024 the default 4096-point grid is too coarse; the refusal
+        # comes before a 1023-codeword build, with the same message and code.
+        tracemalloc.start()
+        try:
+            code = run_cli("codebook", "--method", "deact", "--n", "1024", "--validate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "beamtrain: 4096 grid points too coarse for N=1024; need at least 8192\n"
+        )
+        assert captured.out == ""
+        assert peak < 2**20
+
     def test_negative_seed_exits_2(self, capsys):
         assert run_cli("mc-success", "--n", "8", "-r", "2", "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from beamtrain import (
     steering_weights,
     validate_codebook,
 )
-from beamtrain.arrays import MAX_GRID_CELLS, coverage_gains, steering_matrix
+from beamtrain.arrays import MAX_GRID_CELLS, coverage_gains, leaf_weights, steering_matrix
 from beamtrain.cli import main
 from beamtrain.codebooks import check_array_size
 
@@ -209,6 +209,14 @@ class TestSharedStructure:
         for layer, counts in zip(cb.layers, cb.active_counts):
             assert layer.flags.c_contiguous and not layer.flags.writeable
             assert not counts.flags.writeable
+
+    @pytest.mark.parametrize("method", ["deact", "bmw-ss"])
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_leaf_layer_is_the_cached_array_uncopied(self, method, n):
+        leaves = leaf_weights(n)
+        assert generate_codebook(method, n).layers[-1] is leaves
+        assert leaves.flags.owndata and leaves.flags.c_contiguous
+        assert leaves.tobytes() == np.ascontiguousarray(steering_matrix(n).T).tobytes()
 
     def test_layer_sizes(self):
         cb = generate_codebook("bmw-ss", 16)

@@ -16,12 +16,14 @@ from beamtrain import (
     steering_weights,
 )
 from beamtrain import ExperimentConfig, run_search
+from beamtrain.arrays import steering_matrix
 from beamtrain.experiments import TRACE_COLUMNS
 from beamtrain.channels import KINDS
 from beamtrain.search import (
     POLICIES,
     POWER_MODES,
     PathBlock,
+    _row_bounds,
     lockstep_adjudicate,
     lockstep_exhaustive,
     lockstep_search,
@@ -45,6 +47,40 @@ def drawn_block(params, seeds):
 def zero_block(n_tx, n_rx, b=1):
     """B realizations of one path with a zero coefficient: a dead channel."""
     return path_block(n_tx, n_rx, np.zeros((b, 1)), np.zeros((b, 1)), np.zeros((b, 1)))
+
+
+def _tie_prone_block(n_tx, n_rx, angles, coeffs, b, n_paths, seed=0):
+    """B realizations of L paths whose couplings tend to tie.  ``angles``:
+    ``leaf`` puts every path on a leaf angle, ``seam`` on -1, 0 or 1, and
+    ``mixed`` on either; ``coeffs``: ``gaussian``, ``equal`` (one value per
+    realization), ``zero`` or ``one-hot``."""
+    rng = np.random.default_rng(seed)
+
+    def draw_angles(n):
+        pool = {"leaf": leaf_angles(n), "seam": [-1.0, 0.0, 1.0],
+                "mixed": np.concatenate([leaf_angles(n), [-1.0, 0.0, 1.0]])}[angles]
+        return rng.choice(pool, (b, n_paths))
+
+    omega, psi = draw_angles(n_rx), draw_angles(n_tx)
+    gaussian = rng.standard_normal((b, n_paths)) + 1j * rng.standard_normal((b, n_paths))
+    coeff = {
+        "gaussian": gaussian,
+        "equal": np.repeat(gaussian[:, :1], n_paths, axis=1),
+        "zero": np.zeros((b, n_paths), complex),
+        "one-hot": np.eye(n_paths, dtype=complex)[rng.integers(n_paths, size=b)],
+    }[coeffs]
+    return path_block(n_tx, n_rx, coeff, omega, psi)
+
+
+@st.composite
+def tie_prone_blocks(draw):
+    sizes = st.sampled_from([2, 8, 64, 256])
+    return _tie_prone_block(
+        draw(sizes), draw(sizes),
+        draw(st.sampled_from(["leaf", "seam", "mixed"])),
+        draw(st.sampled_from(["gaussian", "equal", "zero", "one-hot"])),
+        draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 def noise_for(cb_tx, cb_rx, seeds):
@@ -401,6 +437,26 @@ class TestExhaustiveSearch:
         pm = PowerModel("per-antenna", 0.0)
         got, want = lockstep_exhaustive(block, pm), reference.lockstep_exhaustive(block, pm)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=tie_prone_blocks())
+    @example(block=_tie_prone_block(256, 256, "seam", "equal", 4, 16))
+    @example(block=_tie_prone_block(256, 2, "leaf", "one-hot", 3, 1))
+    def test_pruned_scan_equals_dense_reference_on_ties(self, block):
+        # The scan squares only the rows whose bound reaches the first row's
+        # best: the same pairs and gains as the dense reference, and every
+        # row's computed maximum lies within its bound.
+        pm = PowerModel("per-antenna", 0.0)
+        got, want = lockstep_exhaustive(block, pm), reference.lockstep_exhaustive(block, pm)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        n_tx, n_rx = block.a_tx.shape[-1], block.a_rx.shape[-1]
+        on_rx = block.a_rx @ steering_matrix(n_rx).conj()
+        on_tx = block.a_tx @ steering_matrix(n_tx).conj()
+        scaled = np.sqrt(n_tx * n_rx) * block.coeff
+        bounds = _row_bounds(scaled, on_tx, on_rx)
+        for c, tx_leaves, rx_leaves, bound in zip(scaled, on_tx, on_rx, bounds):
+            couplings = np.abs(tx_leaves.T.conj() @ (c[:, np.newaxis] * rx_leaves)) ** 2
+            assert (couplings.max(axis=1) <= bound).all()
 
     def test_all_ties_resolve_to_first_pair(self):
         pairs, _ = lockstep_exhaustive(zero_block(8, 8), PowerModel("total", 1e-4))
