@@ -49,7 +49,7 @@ def zero_block(n_tx, n_rx, b=1):
     return path_block(n_tx, n_rx, np.zeros((b, 1)), np.zeros((b, 1)), np.zeros((b, 1)))
 
 
-def _tie_prone_block(n_tx, n_rx, angles, coeffs, b, n_paths, seed=0):
+def tie_prone_block(n_tx, n_rx, angles, coeffs, b, n_paths, seed=0):
     """B realizations of L paths whose couplings tend to tie.  ``angles``:
     ``leaf`` puts every path on a leaf angle, ``seam`` on -1, 0 or 1, and
     ``mixed`` on either; ``coeffs``: ``gaussian``, ``equal`` (one value per
@@ -75,7 +75,7 @@ def _tie_prone_block(n_tx, n_rx, angles, coeffs, b, n_paths, seed=0):
 @st.composite
 def tie_prone_blocks(draw):
     sizes = st.sampled_from([2, 8, 64, 256])
-    return _tie_prone_block(
+    return tie_prone_block(
         draw(sizes), draw(sizes),
         draw(st.sampled_from(["leaf", "seam", "mixed"])),
         draw(st.sampled_from(["gaussian", "equal", "zero", "one-hot"])),
@@ -440,8 +440,8 @@ class TestExhaustiveSearch:
 
     @settings(max_examples=60, deadline=None)
     @given(block=tie_prone_blocks())
-    @example(block=_tie_prone_block(256, 256, "seam", "equal", 4, 16))
-    @example(block=_tie_prone_block(256, 2, "leaf", "one-hot", 3, 1))
+    @example(block=tie_prone_block(256, 256, "seam", "equal", 4, 16))
+    @example(block=tie_prone_block(256, 2, "leaf", "one-hot", 3, 1))
     def test_pruned_scan_equals_dense_reference_on_ties(self, block):
         # The scan squares only the rows whose bound reaches the first row's
         # best: the same pairs and gains as the dense reference, and every
