@@ -159,10 +159,10 @@ def steering_matrix(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def leaf_weights(n: int) -> np.ndarray:
-    """The leaf steering vectors as rows: ``steering_matrix(n).T`` copied into
-    C order, bit for bit, read-only and owning its data; cached.  Both
-    codebooks keep it as their last layer without copying it."""
-    leaves = steering_matrix(n).T.copy()
+    """The leaf steering vectors as rows, ``steering_matrix(n).T`` bit for bit
+    but built without it; read-only, C-ordered, owning its data and cached."""
+    leaves = rotation_phases(n, leaf_angles(n))
+    leaves /= math.sqrt(n)
     leaves.setflags(write=False)
     return leaves
 
@@ -213,7 +213,8 @@ def rotation_phases(n: int, psi) -> np.ndarray:
     """The factors ``exp(j*pi*k*psi)``, k = 0..n-1, by which :func:`rotate`
     multiplies a weight vector: shape (n,) for a scalar psi, one row per psi
     for a 1-D array of psi."""
-    return np.exp(1j * np.pi * np.arange(n) * np.asarray(psi)[..., np.newaxis])
+    phases = 1j * np.pi * np.arange(n) * np.asarray(psi)[..., np.newaxis]
+    return np.exp(phases, out=phases)
 
 
 def check_grid(grid_points: int, n: int = 1) -> None:

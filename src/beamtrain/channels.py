@@ -39,21 +39,17 @@ class ChannelParams(ReadOnly):
     expected power of each diffuse path; it only matters for the LOS kind.
     """
 
-    def __init__(self, n_tx: int, n_rx: int, n_paths: int = 3,
-                 kind: str = "nlos", eta_db: float = 15.0) -> None:
-        n_tx, n_rx = check_int("n_tx", n_tx), check_int("n_rx", n_rx)
+    def __init__(self, n_paths: int = 3, kind: str = "nlos", eta_db: float = 15.0) -> None:
         n_paths = check_int("n_paths", n_paths)
         eta_db = check_real("eta_db", eta_db)
         check_choice("kind", kind, KINDS)
-        if n_tx < 1 or n_rx < 1:
-            raise ValueError("array sizes must be positive")
         if not 1 <= n_paths <= MAX_PATHS:
             raise ValueError(f"n_paths must lie between 1 and {MAX_PATHS}, got {n_paths}")
         if not 0.0 < db_to_linear(eta_db) < math.inf:
             raise ValueError(
                 f"eta_db must be finite, with 10**(eta_db/10) a positive float; got {eta_db}"
             )
-        vars(self).update(n_tx=n_tx, n_rx=n_rx, n_paths=n_paths, kind=kind, eta_db=eta_db)
+        vars(self).update(n_paths=n_paths, kind=kind, eta_db=eta_db)
 
 
 def draw_paths(

@@ -156,10 +156,8 @@ class ExperimentConfig(ReadOnly):
                 f"{realizations} realizations make a result array of {cells} cells; "
                 f"at most {MAX_GRID_CELLS}"
             )
-        # ChannelParams per kind; building them checks the path count and eta_db up front.
-        vars(self)["_params"] = {
-            kind: ChannelParams(n_tx, n_rx, n_paths, kind, eta_db) for kind in self.kinds
-        }
+        for kind in self.kinds:
+            self.channel_params(kind)  # checks the path count and eta_db up front
         for x in snr:
             self.power_model(x)  # checks each noise floor is finite up front
 
@@ -171,7 +169,7 @@ class ExperimentConfig(ReadOnly):
         return PowerModel.from_snr_db(self.power_mode, snr_db)
 
     def channel_params(self, kind: str) -> ChannelParams:
-        return self._params[kind]
+        return ChannelParams(self.n_paths, kind, self.eta_db)
 
 
 class ExperimentResult:
@@ -277,7 +275,7 @@ def _streams(states):
         yield rng
 
 
-def _draw_block(cfg: ExperimentConfig, kind: str, entropies) -> tuple[PathBlock, list]:
+def _draw_block(cfg: ExperimentConfig, params: ChannelParams, entropies):
     """The stream contract of one realization: ``SeedSequence(entropy)`` spawns
     two children; the first draws the paths (:func:`draw_paths`), the second
     seeds the search noise, which every method reuses.  Returns a block's
@@ -288,7 +286,7 @@ def _draw_block(cfg: ExperimentConfig, kind: str, entropies) -> tuple[PathBlock,
     stage and candidate (lower child first), the real then the imaginary
     parts of the receive noise."""
     channel, noise = _spawned_states(entropies)
-    paths = draw_paths(cfg.channel_params(kind), _streams(channel))
+    paths = draw_paths(params, _streams(channel))
     return PathBlock(*paths, cfg.n_tx, cfg.n_rx), noise
 
 
@@ -300,27 +298,27 @@ def _noise_block(cfg: ExperimentConfig, seeds) -> np.ndarray:
     return noise
 
 
-def _search_block(cfg: ExperimentConfig, kind: str, pairs, pm: PowerModel, entropies):
+def _search_block(cfg: ExperimentConfig, params: ChannelParams, pairs, pm: PowerModel, entropies):
     """One block of realizations, one per entropy: its paths, the noiseless
     oracle's (pairs, gains), and one lockstep search per codebook pair."""
-    block, seeds = _draw_block(cfg, kind, entropies)
+    block, seeds = _draw_block(cfg, params, entropies)
     oracle = lockstep_exhaustive(block, pm)
     noise = _noise_block(cfg, seeds)  # after the oracle's N x N temporaries
     return block, oracle, [lockstep_search(*pair, block, pm, noise) for pair in pairs]
 
 
 def _chunk(args) -> list[np.ndarray]:
-    """Realizations start..stop-1 of every (kind, power model, entropy prefix)
-    cell, each block reduced to arrays by ``reduce``; each array stacks the
-    cells on axis 1."""
+    """Realizations start..stop-1 of every (channel params, power model,
+    entropy prefix) cell, each block reduced to arrays by ``reduce``; each
+    array stacks the cells on axis 1."""
     cfg, cells, reduce, start, stop = args
     pairs = _codebook_pairs(cfg)
     per_cell = []
-    for kind, pm, prefix in cells:
+    for params, pm, prefix in cells:
         blocks = []
         for lo, hi in _blocks(cfg, start, stop):
             entropies = [(*prefix, r) for r in range(lo, hi)]
-            blocks.append(reduce(*_search_block(cfg, kind, pairs, pm, entropies)))
+            blocks.append(reduce(*_search_block(cfg, params, pairs, pm, entropies)))
         per_cell.append([np.concatenate(part) for part in zip(*blocks)])
     return [np.stack(part, axis=1) for part in zip(*per_cell)]
 
@@ -366,7 +364,7 @@ def run_received_power(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
     kinds = cfg.kinds
     pm = cfg.power_model(cfg.snr_db[0])
-    cells = [(kind, pm, (cfg.seed, _KIND_ID[kind])) for kind in kinds]
+    cells = [(cfg.channel_params(kind), pm, (cfg.seed, _KIND_ID[kind])) for kind in kinds]
     bounds, winners = _run_chunked(cfg, cells, _power_reduce)
 
     # Each bound is a 1-D mean, a pairwise sum, not the winners' sequential axis-0 sum.
@@ -407,9 +405,9 @@ def run_success_rate(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.channel == "both":
         raise ValueError("success-rate runs use a single channel kind")
     t0 = time.monotonic()
-    kind = cfg.kinds[0]
+    kind = cfg.channel
     cells = [
-        (kind, cfg.power_model(snr_db), (cfg.seed, _KIND_ID[kind], si))
+        (cfg.channel_params(kind), cfg.power_model(snr_db), (cfg.seed, _KIND_ID[kind], si))
         for si, snr_db in enumerate(cfg.snr_db)
     ]
     (flags,) = _run_chunked(cfg, cells, _success_reduce)
@@ -434,9 +432,9 @@ def run_search(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.channel == "both":
         raise ValueError("the search demo uses a single channel kind")
     [(cb_tx, cb_rx)] = pairs = _codebook_pairs(cfg)
-    pm = cfg.power_model(cfg.snr_db[0])
+    pm, params = cfg.power_model(cfg.snr_db[0]), cfg.channel_params(cfg.channel)
     # A Monte-Carlo block of one realization, whose entropy is the seed alone.
-    block, (best, bound), [out] = _search_block(cfg, cfg.kinds[0], pairs, pm, [(cfg.seed,)])
+    block, (best, bound), [out] = _search_block(cfg, params, pairs, pm, [(cfg.seed,)])
     rows = []
     # tolist() makes Python scalars, which the CSV writer formats with repr.
     stages = zip(out.winners[0].tolist(), out.y_power[0].tolist(), out.gains[0].tolist())
@@ -474,18 +472,22 @@ def run_beam_patterns(
     unit total power.  Columns come in (linear, dB) pairs per codeword.
     """
     check_grid(grid_points, n)  # the gains make an M x N phase matrix
+    depth = check_array_size(n, method)
+    picked = {}  # each codeword once, in order, all checked before the build
+    for layer, index in codewords:
+        layer, index = check_int("layer", layer), check_int("index", index)
+        if not 0 <= layer <= depth or not 1 <= index <= 2**layer:
+            raise ValueError(f"no codeword at layer {layer}, index {index}")
+        if (layer, index) in picked:
+            raise ValueError(f"codeword at layer {layer}, index {index} is repeated")
+        picked[layer, index] = None
     omega = angle_grid(grid_points)
     cb = generate_codebook(method, n)
     columns: list[str] = ["omega"]
     table = [omega.tolist()]
     profiles: dict[str, np.ndarray] = {}
-    for layer, index in codewords:
-        layer, index = check_int("layer", layer), check_int("index", index)
-        if not 0 <= layer <= cb.depth or not 1 <= index <= 2**layer:
-            raise ValueError(f"no codeword at layer {layer}, index {index}")
+    for layer, index in picked:
         label = f"a_{layer}_{index}"
-        if label in profiles:
-            raise ValueError(f"codeword at layer {layer}, index {index} is repeated")
         weights = cb.layers[layer][index - 1]
         if per_antenna:
             weights = weights * math.sqrt(cb.active_counts[layer][index - 1])

@@ -134,13 +134,13 @@ def draw_paths(params, rng):
     return coeff, omega, psi
 
 
-def draw_realization(params, entropy, n_steps):
+def draw_realization(params, n_rx, entropy, n_steps):
     """One realization's paths ``(coeff, omega, psi)`` and its noise draws,
     ``standard_normal(4 * n_rx * n_steps)``, from ``SeedSequence(entropy)``'s
     two spawned children."""
     channel_ss, noise_ss = np.random.SeedSequence(entropy).spawn(2)
     paths = draw_paths(params, np.random.default_rng(channel_ss))
-    return paths, np.random.default_rng(noise_ss).standard_normal(4 * params.n_rx * n_steps)
+    return paths, np.random.default_rng(noise_ss).standard_normal(4 * n_rx * n_steps)
 
 
 def coverage_gains_reference(weights, grid_points):

@@ -141,10 +141,10 @@ def test_criterion_05_subarray_phase_optimum():
     )
 
 
-def _block(params: ChannelParams, stream: int, realizations: int) -> PathBlock:
-    """Realization r's paths from ``default_rng((SEED, stream, r))``."""
+def _block(n: int, params: ChannelParams, stream: int, realizations: int) -> PathBlock:
+    """Realization r's paths from ``default_rng((SEED, stream, r))``, on N x N arrays."""
     rngs = [np.random.default_rng((SEED, stream, r)) for r in range(realizations)]
-    return PathBlock(*draw_paths(params, rngs), params.n_tx, params.n_rx)
+    return PathBlock(*draw_paths(params, rngs), n, n)
 
 
 def _noise(stream: int, realizations: int, n: int) -> np.ndarray:
@@ -162,7 +162,7 @@ def test_criterion_06_noiseless_search_matches_exhaustive():
     pm = PowerModel("total", 0.0)
     counts = {}
     for n in (16, 64):
-        block = _block(ChannelParams(n_tx=n, n_rx=n, n_paths=1), 60, REALIZATIONS)
+        block = _block(n, ChannelParams(n_paths=1), 60, REALIZATIONS)
         best_pairs, _ = lockstep_exhaustive(block, pm)
         noise = _noise(61, REALIZATIONS, n)
         for method in ("deact", "bmw-ss"):
@@ -191,7 +191,7 @@ def test_criterion_07_search_cost(monkeypatch):
 
     monkeypatch.setattr(search, "_lockstep_descend", counted_descend)
     pm = PowerModel.from_snr_db("total", 20.0)
-    block = _block(ChannelParams(n_tx=64, n_rx=64, n_paths=3), 70, 25)
+    block = _block(64, ChannelParams(n_paths=3), 70, 25)
     noise = _noise(71, 25, 64)
     ok = True
     for method in ("deact", "bmw-ss"):

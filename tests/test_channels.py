@@ -34,17 +34,17 @@ def oracle_gain(n, coeff, omega, psi):
 class TestSampling:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
-            ChannelParams(n_tx=4, n_rx=4, n_paths=0)
+            ChannelParams(n_paths=0)
 
     def test_path_count_cap_boundary(self):
         # MAX_PATHS is the most accepted; checked before any path is drawn.
-        assert ChannelParams(4, 4, MAX_PATHS).n_paths == MAX_PATHS
+        assert ChannelParams(MAX_PATHS).n_paths == MAX_PATHS
         with pytest.raises(ValueError, match="n_paths"):
-            ChannelParams(4, 4, MAX_PATHS + 1)
+            ChannelParams(MAX_PATHS + 1)
 
     def test_matrix_matches_path_sum(self):
         # The engine's per-path responses rebuild the dense channel.
-        params = ChannelParams(n_tx=16, n_rx=8, n_paths=4, kind="nlos")
+        params = ChannelParams(n_paths=4, kind="nlos")
         paths = draw_paths(params, [np.random.default_rng(1)])
         block = PathBlock(*paths, 16, 8)
         coeff, omega, psi = (x[0] for x in paths)
@@ -54,25 +54,25 @@ class TestSampling:
         np.testing.assert_allclose(rebuilt, want, atol=1e-12)
 
     def test_angles_within_domain(self):
-        _, omega, psi = draw_paths(ChannelParams(8, 8, 6), [np.random.default_rng(2)])
+        _, omega, psi = draw_paths(ChannelParams(6), [np.random.default_rng(2)])
         assert np.all(np.abs(omega) <= 1.0) and np.all(np.abs(psi) <= 1.0)
 
     def test_deterministic_given_seed(self):
-        params = ChannelParams(8, 8, 3)
+        params = ChannelParams(3)
         a = draw_paths(params, [np.random.default_rng(42)])
         b = draw_paths(params, [np.random.default_rng(42)])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_single_path_power_normalization(self):
-        params = ChannelParams(4, 4, 1, kind="nlos")
+        params = ChannelParams(1, kind="nlos")
         rng = np.random.default_rng(3)
         powers = np.abs(draw_paths(params, [rng] * 10_000)[0][:, 0]) ** 2
         assert np.mean(powers) == pytest.approx(1.0, abs=0.05)
 
     def test_dominant_path_power_gap(self):
         gap = 10.0 ** 1.5
-        params = ChannelParams(4, 4, 3, kind="los", eta_db=15.0)
+        params = ChannelParams(3, kind="los", eta_db=15.0)
         rng = np.random.default_rng(4)
         coeff = draw_paths(params, [rng] * 4000)[0]  # 4000 realizations from one stream
         lead, diffuse = np.abs(coeff[:, 0]) ** 2, np.abs(coeff[:, 1:]) ** 2
@@ -82,7 +82,7 @@ class TestSampling:
 
     def test_total_power_normalized_for_both_kinds(self):
         for kind in ("nlos", "los"):
-            params = ChannelParams(4, 4, 3, kind=kind, eta_db=15.0)
+            params = ChannelParams(3, kind=kind, eta_db=15.0)
             rng = np.random.default_rng(5)
             totals = np.sum(np.abs(draw_paths(params, [rng] * 5000)[0]) ** 2, axis=1)
             se = np.std(totals, ddof=1) / np.sqrt(len(totals))
@@ -98,7 +98,7 @@ class TestSampling:
     )
     def test_block_draw_equals_per_realization_draw(self, kind, n_paths, b, eta_db, seed):
         # Row r of the block is realization r's four-call draw, byte for byte.
-        params = ChannelParams(4, 4, n_paths, kind, eta_db)
+        params = ChannelParams(n_paths, kind, eta_db)
         got = draw_paths(params, [np.random.default_rng((seed, r)) for r in range(b)])
         assert all(x.shape == (b, n_paths) for x in got)
         for r in range(b):
@@ -106,7 +106,7 @@ class TestSampling:
             assert [x[r].tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_cosine_angles_have_arcsine_law(self):
-        params = ChannelParams(4, 4, 1)
+        params = ChannelParams(1)
         rng = np.random.default_rng(6)
         omegas = draw_paths(params, [rng] * 4000)[1][:, 0]
         # cos(uniform angle) has the arcsine distribution on [-1, 1]
@@ -137,7 +137,7 @@ class TestBestPairGain:
         assert oracle_gain(16, [1.0], [angle], [angle]) == pytest.approx(256.0, rel=1e-12)
 
     def test_matches_literal_double_loop(self):
-        params = ChannelParams(16, 16, 2)
+        params = ChannelParams(2)
         for seed in range(3):
             paths = [x[0] for x in draw_paths(params, [np.random.default_rng(seed)])]
             h = reference.channel_matrix(16, 16, *paths)
@@ -151,11 +151,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("eta_db", [math.nan, math.inf, -math.inf])
     def test_params_reject_non_finite_eta_db(self, eta_db):
         with pytest.raises(ValueError, match="eta_db"):
-            ChannelParams(8, 8, 3, kind="los", eta_db=eta_db)
+            ChannelParams(3, kind="los", eta_db=eta_db)
 
     @pytest.mark.parametrize("eta_db", [4000.0, -4000.0])
     def test_params_reject_eta_db_out_of_float_range(self, eta_db):
         # 10**(eta_db/10) overflows (or underflows to zero, which leaves a
         # one-path LOS channel with no power to normalize).
         with pytest.raises(ValueError, match="eta_db"):
-            ChannelParams(8, 8, 1, kind="los", eta_db=eta_db)
+            ChannelParams(1, kind="los", eta_db=eta_db)

@@ -309,6 +309,30 @@ class TestBadInput:
         assert "codeword at layer 1, index 1 is repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--method", "deact", "--n", "1024", "--codewords", "11,1"),
+             "no codeword at layer 11, index 1"),
+            (("--method", "bmw-ss", "--n", "2048", "--grid-points", "16384",
+              "--codewords", "1,1;1,1"), "codeword at layer 1, index 1 is repeated"),
+        ],
+        ids=["out-of-range", "repeated"],
+    )
+    def test_bad_codeword_is_refused_before_the_build(self, argv, message, tmp_path, capsys):
+        # Each codeword is checked before the codebook and any gain exist.
+        out = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli("pattern", *argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"beamtrain: {message}\n"
+        assert peak < 2**20
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["mc-success", "mc-power"])
     def test_repeated_method_exits_2(self, command, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
+
 from beamtrain import (
     Codebook,
     angle_grid,
@@ -217,6 +219,20 @@ class TestSharedStructure:
         assert generate_codebook(method, n).layers[-1] is leaves
         assert leaves.flags.owndata and leaves.flags.c_contiguous
         assert leaves.tobytes() == np.ascontiguousarray(steering_matrix(n).T).tobytes()
+
+    def test_build_caches_no_steering_matrix(self):
+        # The leaves are built straight from the leaf angles; only the oracle
+        # needs the N x N steering matrix, so a codebook-only run never makes it.
+        probe = (
+            "from beamtrain import generate_codebook\n"
+            "from beamtrain.arrays import steering_matrix\n"
+            "for method in ('deact', 'bmw-ss'):\n"
+            "    generate_codebook(method, 64)\n"
+            "print(steering_matrix.cache_info().currsize)\n"
+        )
+        proc = run_python("-c", probe, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_layer_sizes(self):
         cb = generate_codebook("bmw-ss", 16)

@@ -407,11 +407,11 @@ class TestStreams:
         assert len(blocks) == n_blocks
         for lo, hi in blocks:
             entropies = [(cfg.seed, experiments._KIND_ID[kind], 0, r) for r in range(lo, hi)]
-            block, seeds = experiments._draw_block(cfg, kind, entropies)
+            block, seeds = experiments._draw_block(cfg, cfg.channel_params(kind), entropies)
             noise = experiments._noise_block(cfg, seeds)
             for b, entropy in enumerate(entropies):
                 paths, want_noise = reference.draw_realization(
-                    cfg.channel_params(kind), entropy, cfg.n_steps
+                    cfg.channel_params(kind), cfg.n_rx, entropy, cfg.n_steps
                 )
                 for got, want in zip((block.coeff, block.omega, block.psi), paths):
                     assert got[b].tobytes() == want.tobytes()

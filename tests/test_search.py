@@ -38,10 +38,10 @@ def path_block(n_tx, n_rx, coeff, omega, psi):
     )
 
 
-def drawn_block(params, seeds):
-    """The block of the paths that ``draw_paths`` draws from each seed."""
+def drawn_block(n_tx, n_rx, params, seeds):
+    """The n_tx x n_rx block of the paths that ``draw_paths`` draws from each seed."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    return path_block(params.n_tx, params.n_rx, *draw_paths(params, rngs))
+    return path_block(n_tx, n_rx, *draw_paths(params, rngs))
 
 
 def zero_block(n_tx, n_rx, b=1):
@@ -130,8 +130,8 @@ class TestMeasure:
     def test_noiseless_total_power(self):
         # Without noise each stage's measured power is its noiseless gain,
         # the squared coupling of the two codewords it measured.
-        params = ChannelParams(8, 8, 3)
-        block = drawn_block(params, range(4))
+        params = ChannelParams(3)
+        block = drawn_block(8, 8, params, range(4))
         cb = generate_codebook("bmw-ss", 8)
         out = search(cb, cb, block, PowerModel("total", 0.0), [(1, i) for i in range(4)])
         for i in range(4):
@@ -147,7 +147,7 @@ class TestMeasure:
                 assert out.gains[i, stage] == pytest.approx(want, rel=1e-12)
 
     def test_per_antenna_gain_includes_active_count(self):
-        block = drawn_block(ChannelParams(16, 16, 3), range(20))
+        block = drawn_block(16, 16, ChannelParams(3), range(20))
         seeds = [(2, i) for i in range(20)]
         for method in ("deact", "bmw-ss"):
             cb = generate_codebook(method, 16)
@@ -180,7 +180,7 @@ class TestMeasure:
 class TestHierarchicalSearch:
     def test_trace_has_expected_shape(self):
         cb = generate_codebook("bmw-ss", 64)
-        block = drawn_block(ChannelParams(64, 64, 3), range(5))
+        block = drawn_block(64, 64, ChannelParams(3), range(5))
         out = search(cb, cb, block, PowerModel("total", 1e-4), [(3, i) for i in range(5)])
         assert out.pairs.shape == (5, 2)
         assert out.winners.shape == out.y_power.shape == out.gains.shape == (5, 12)
@@ -197,20 +197,20 @@ class TestHierarchicalSearch:
     def test_noiseless_single_path_finds_best_pair(self, method):
         cb = generate_codebook(method, 16)
         pm = PowerModel("total", 0.0)
-        block = drawn_block(ChannelParams(16, 16, 1), [(20, seed) for seed in range(100)])
+        block = drawn_block(16, 16, ChannelParams(1), [(20, seed) for seed in range(100)])
         out = search(cb, cb, block, pm, [(21, seed) for seed in range(100)])
         np.testing.assert_array_equal(out.pairs, lockstep_exhaustive(block, pm)[0])
 
     def test_rejects_mismatched_codebooks(self):
         cb = generate_codebook("deact", 8)
-        block = drawn_block(ChannelParams(16, 16, 1), [5])
+        block = drawn_block(16, 16, ChannelParams(1), [5])
         with pytest.raises(ValueError, match="codebook sizes"):
             lockstep_search(cb, cb, block, PowerModel("total", 1e-4), np.zeros((1, 6, 2, 2, 16)))
 
     def test_distinct_array_sizes(self):
         cb_tx = generate_codebook("deact", 16)
         cb_rx = generate_codebook("deact", 8)
-        block = drawn_block(ChannelParams(16, 8, 2), [7])
+        block = drawn_block(16, 8, ChannelParams(2), [7])
         out = search(cb_tx, cb_rx, block, PowerModel("total", 1e-4), [8])
         assert out.winners.shape == (1, 3 + 4)
         assert 1 <= out.pairs[0, 0] <= 16 and 1 <= out.pairs[0, 1] <= 8
@@ -245,7 +245,7 @@ class TestSearchProperties:
         self, method, n_tx, n_rx, kind, n_paths, seed, snr_db
     ):
         cb_tx, cb_rx = generate_codebook(method, n_tx), generate_codebook(method, n_rx)
-        block = drawn_block(ChannelParams(n_tx, n_rx, n_paths, kind), [(seed, i) for i in range(3)])
+        block = drawn_block(n_tx, n_rx, ChannelParams(n_paths, kind), [(seed, i) for i in range(3)])
         pm = PowerModel.from_snr_db("total", snr_db)
         out = search(cb_tx, cb_rx, block, pm, [(seed, i, 1) for i in range(3)])
         assert out.winners.shape == (3, cb_tx.depth + cb_rx.depth)
@@ -291,7 +291,7 @@ class TestLockstepMatchesReference:
     def test_block_equals_reference(
         self, n_tx, n_rx, mode, kind, n_paths, noise_power, blocks, seed
     ):
-        params = ChannelParams(n_tx, n_rx, n_paths, kind)
+        params = ChannelParams(n_paths, kind)
         pm = PowerModel(mode, noise_power)
         n_steps = n_tx.bit_length() + n_rx.bit_length() - 2
         paths = draw_paths(params, [np.random.default_rng((seed, i)) for i in range(blocks)])
@@ -341,7 +341,7 @@ class TestLockstepMatchesReference:
 
     def test_rejects_mismatched_noise(self):
         cb = generate_codebook("deact", 8)
-        block = drawn_block(ChannelParams(8, 8, 2), [0])
+        block = drawn_block(8, 8, ChannelParams(2), [0])
         with pytest.raises(ValueError, match="noise"):
             lockstep_search(cb, cb, block, PowerModel("total", 1e-4), np.zeros((1, 6, 2, 2, 4)))
 
@@ -372,7 +372,7 @@ def test_lockstep_outcomes_match_pinned_digests(case):
     ``test_layers_match_pinned_digests``, the digests pin NumPy 2.4.6 on
     x86-64; another NumPy or BLAS may round differently."""
     n_tx, n_rx, n_paths, kind, mode, noise_power = case
-    block = drawn_block(ChannelParams(n_tx, n_rx, n_paths, kind), range(5))
+    block = drawn_block(n_tx, n_rx, ChannelParams(n_paths, kind), range(5))
     pm = PowerModel(mode, noise_power)
     digest = hashlib.sha256()
     for method in ("bmw-ss", "deact"):
@@ -394,9 +394,9 @@ class TestExhaustiveSearch:
         assert gains[0] == pytest.approx(64.0, rel=1e-12)
 
     def test_matches_literal_double_loop(self):
-        params = ChannelParams(16, 16, 3)
+        params = ChannelParams(3)
         pm = PowerModel("total", 0.0)
-        block = drawn_block(params, range(3))
+        block = drawn_block(16, 16, params, range(3))
         pairs, best = lockstep_exhaustive(block, pm)
         for seed in range(3):
             paths = block.coeff[seed], block.omega[seed], block.psi[seed]
@@ -412,7 +412,7 @@ class TestExhaustiveSearch:
             assert gains[tx - 1, rx - 1] == pytest.approx(gains.max(), rel=1e-10)
 
     def test_pair_does_not_depend_on_power_model(self):
-        block = drawn_block(ChannelParams(16, 8, 3), [11])
+        block = drawn_block(16, 8, ChannelParams(3), [11])
         pairs, total = lockstep_exhaustive(block, PowerModel("total", 0.0))
         per_pairs, per = lockstep_exhaustive(block, PowerModel("per-antenna", 0.0))
         np.testing.assert_array_equal(per_pairs, pairs)
@@ -432,8 +432,8 @@ class TestExhaustiveSearch:
     def test_equals_stacked_reference_bit_for_bit(self, n_tx, n_rx, kind, n_paths, b, seed):
         # One flat leaf product per side (the stacked one at L = 1) and the
         # reused coupling buffers give the plain oracle's pairs and gains.
-        params = ChannelParams(n_tx, n_rx, n_paths, kind)
-        block = drawn_block(params, [(seed, i) for i in range(b)])
+        params = ChannelParams(n_paths, kind)
+        block = drawn_block(n_tx, n_rx, params, [(seed, i) for i in range(b)])
         pm = PowerModel("per-antenna", 0.0)
         got, want = lockstep_exhaustive(block, pm), reference.lockstep_exhaustive(block, pm)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
@@ -482,7 +482,7 @@ class TestAdjudication:
 
     def test_match_exhaustive_compares_with_the_given_pair(self):
         cb = generate_codebook("deact", 8)
-        block = drawn_block(ChannelParams(8, 8, 2), [12])
+        block = drawn_block(8, 8, ChannelParams(2), [12])
         found = search(cb, cb, block, PowerModel("total", 1e-4), [13]).pairs
         other = found.copy()
         other[:, 0] = other[:, 0] % 8 + 1
@@ -492,7 +492,7 @@ class TestAdjudication:
     def test_single_path_any_equals_strongest(self):
         cb = generate_codebook("bmw-ss", 16)
         pm = PowerModel.from_snr_db("total", 10.0)
-        block = drawn_block(ChannelParams(16, 16, 1), [(30, seed) for seed in range(50)])
+        block = drawn_block(16, 16, ChannelParams(1), [(30, seed) for seed in range(50)])
         found = search(cb, cb, block, pm, [(31, seed) for seed in range(50)]).pairs
         best, _ = lockstep_exhaustive(block, pm)
         flags = lockstep_adjudicate(found[:, None], block, best)[:, 0]
@@ -503,8 +503,8 @@ class TestAdjudication:
         # dominant path's bin pair, so the two notions of success coincide.
         cb = generate_codebook("bmw-ss", 32)
         pm = PowerModel("total", 0.0)
-        params = ChannelParams(32, 32, 3, kind="los", eta_db=40.0)
-        block = drawn_block(params, [(40, seed) for seed in range(200)])
+        params = ChannelParams(3, kind="los", eta_db=40.0)
+        block = drawn_block(32, 32, params, [(40, seed) for seed in range(200)])
         found = search(cb, cb, block, pm, [(41, seed) for seed in range(200)]).pairs
         best, _ = lockstep_exhaustive(block, pm)
         flags = lockstep_adjudicate(found[:, None], block, best)[:, 0]
